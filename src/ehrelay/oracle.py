@@ -9,6 +9,14 @@ local optimum rather than a grid artifact.  Nothing here shares iterations,
 gradients or duals with the solver; only the rate formulas themselves are
 common, and those are cross-checked separately by rho_maxmin, which
 evaluates the underlying max-min rate over a dense correlation grid.
+
+Both hot loops return exactly the floats of the plain one-at-a-time forms
+(kept as references in tests/test_oracle.py).  The pair sweep sums the
+epochs before the last only once per distinct column prefix and adds the
+prefix's largest last-epoch entry; rounding is monotone, so each row maximum
+is the same float as in the full pair matrix.  The pattern polish scores all
+the moves left in a sweep in one rate call, accepts the first that improves,
+and rebuilds the moves after it from the new point.
 """
 
 import itertools
@@ -109,6 +117,18 @@ def _pair_sweep(tables, idx1, idx2, block=96):
     (max over the other node per epoch); blocks whose bound cannot beat the
     incumbent are skipped, which leaves the result identical to the full
     sweep because the bound is valid.
+
+    The pair value is ((T_0 + T_1) + ...) + T_last, summed in epoch order.
+    Columns come in lexicographic order (_enumerate_feasible), so those that
+    share their first n-1 indices (a prefix) form contiguous runs.  The sum A
+    over the first n-1 epochs depends only on the prefix, and fl(A + t) never
+    decreases as t grows, so the maximum over a prefix's columns is exactly
+    fl(A + M), with M the largest T_last entry among them.  The sweep
+    therefore sums A at the distinct prefixes only and adds M, which gives
+    every row maximum as the same float as the full pair matrix.  A row that
+    becomes the incumbent takes the first prefix attaining its maximum and,
+    within it, the first column whose fl(A + T_last) equals it: the first
+    maximum in enumeration order.  evaluations still count every pair.
     """
     n = idx1.shape[1]
     rowmax = [t.max(axis=1) for t in tables]
@@ -116,6 +136,14 @@ def _pair_sweep(tables, idx1, idx2, block=96):
     for i in range(n):
         ub += rowmax[i][idx1[:, i]]
     order = np.argsort(-ub, kind="stable")
+    head = idx2[:, :n - 1]
+    starts = np.flatnonzero(np.concatenate(
+        [[True], np.any(head[1:] != head[:-1], axis=1)]))
+    ends = np.append(starts[1:], len(idx2))
+    prefixes = head[starts]
+    last = idx2[:, n - 1]
+    t_last = tables[n - 1]
+    M = np.maximum.reduceat(t_last[:, last], starts, axis=1)
     best_val = -np.inf
     best_pair = (0, 0)
     evals = 0
@@ -127,22 +155,31 @@ def _pair_sweep(tables, idx1, idx2, block=96):
         rows = rows[live]
         if rows.size == 0:
             continue
-        S = tables[0][idx1[rows, 0]][:, idx2[:, 0]].copy()
-        for i in range(1, n):
-            S += tables[i][idx1[rows, i]][:, idx2[:, i]]
-        evals += S.size
-        col_best = S.argmax(axis=1)
-        vals = S[np.arange(len(rows)), col_best]
+        if n > 1:
+            A = tables[0][idx1[rows, 0]][:, prefixes[:, 0]]
+            for i in range(1, n - 1):
+                A += tables[i][idx1[rows, i]][:, prefixes[:, i]]
+            G = A + M[idx1[rows, n - 1]]
+        else:
+            G = M[idx1[rows, 0]]
+        evals += len(rows) * len(idx2)
+        pre_best = G.argmax(axis=1)
+        vals = G[np.arange(len(rows)), pre_best]
         for r in range(len(rows)):
             if vals[r] > best_val + 1e-15:
                 best_val = vals[r]
-                best_pair = (int(rows[r]), int(col_best[r]))
+                p = pre_best[r]
+                child = t_last[idx1[rows[r], n - 1], last[starts[p]:ends[p]]]
+                if n > 1:
+                    child = A[r, p] + child
+                best_pair = (int(rows[r]),
+                             int(starts[p] + np.argmax(child == best_val)))
     return best_val, best_pair, evals
 
 
-def _fast_total(ch, l, p1, p2):
-    return float(np.sum(l * active_rate(ch, np.maximum(p1, 0.0),
-                                        np.maximum(p2, 0.0))))
+def _row_totals(ch, l, p1, p2):
+    """Throughput of each schedule row of p1 and p2 (broadcast together)."""
+    return np.sum(l * active_rate(ch, p1, p2), axis=-1)
 
 
 def _tight_candidates(x, i, lengths, caps):
@@ -158,10 +195,44 @@ def _tight_candidates(x, i, lengths, caps):
     return out
 
 
-def _coordinate_feasible(x, i, v, lengths, caps, tol):
-    y = x.copy()
-    y[i] = v
-    return bool(np.all(np.cumsum(y * lengths) <= caps + tol)), y
+def _sweep_moves(x, s, lengths, caps, i0, rest):
+    """Points reached by the moves left in one node's sweep, all taken from x.
+
+    The sweep is the coordinate moves of coordinates 0..n-1 followed by the
+    exchange moves; position i >= n is exchange move i - n.  It resumes at
+    position i0, where rest, unless None, holds coordinate i0's remaining
+    candidate values.  Returns the points in sweep order, each with the
+    (i0, rest) position that follows it.
+    """
+    n = len(x)
+    rows = []
+    after = []
+    for i in range(i0, n):
+        if i == i0 and rest is not None:
+            cands = rest
+        else:
+            cands = [x[i] + s[i], x[i] - s[i]]
+            cands.extend(_tight_candidates(x, i, lengths, caps))
+        for k, v in enumerate(cands):
+            if v < 0.0:
+                continue
+            y = x.copy()
+            y[i] = v
+            rows.append(y)
+            after.append((i, cands[k + 1:]))
+    pairs = list(itertools.combinations(range(n), 2))
+    for e in range(max(i0 - n, 0), 2 * len(pairs)):
+        i, j = pairs[e // 2]
+        d = (1.0, -1.0)[e % 2] * s[i] * lengths[i]  # joules moved from j to i
+        vi = x[i] + d / lengths[i]
+        vj = x[j] - d / lengths[j]
+        if vi < 0.0 or vj < 0.0:
+            continue
+        y = x.copy()
+        y[i], y[j] = vi, vj
+        rows.append(y)
+        after.append((n + e + 1, None))
+    return rows, after
 
 
 def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
@@ -169,15 +240,25 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
 
     Coordinate moves, tight-prefix snaps and pairwise exchange moves along
     the budget faces, with geometrically shrinking steps; uses objective
-    evaluations only.
+    evaluations only.  Each node's sweep visits its moves in a fixed order
+    and accepts every feasible move that beats the incumbent by more than
+    1e-15; a coordinate's candidate values are fixed when the sweep reaches
+    it.
+
+    The moves are scored in batches: every move left in the sweep is taken
+    from the current point, all feasible ones are scored in one active_rate
+    call, and the first improving one is accepted.  The moves before it did
+    not improve, and the moves after it are rebuilt from the new point, so
+    the sweep accepts the same moves as one that scores them one at a time.
+    evaluations counts the feasible moves up to and including each accepted
+    one, and all of them in a batch with no improving move.
     """
     l = epoch_lengths(profile)
     c1 = cumulative_energies(profile, SOURCE)
     c2 = cumulative_energies(profile, RELAY)
-    n = len(l)
     x1 = np.array(p1, dtype=float)
     x2 = np.array(p2, dtype=float)
-    best = _fast_total(ch, l, x1, x2)
+    best = float(_row_totals(ch, l, x1, x2))
     s1 = np.array(steps1, dtype=float)
     s2 = np.array(steps2, dtype=float)
     scale = max(1.0, float(np.max(np.abs(np.concatenate([x1, x2])))))
@@ -187,41 +268,27 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
         improved = False
         for node in (0, 1):
             x, caps, s = (x1, c1, s1) if node == 0 else (x2, c2, s2)
-            for i in range(n):
-                cands = [x[i] + s[i], x[i] - s[i]]
-                cands.extend(_tight_candidates(x, i, l, caps))
-                for v in cands:
-                    if v < 0.0:
-                        continue
-                    ok, y = _coordinate_feasible(x, i, v, l, caps, tol)
-                    if not ok:
-                        continue
-                    val = (_fast_total(ch, l, y, x2) if node == 0
-                           else _fast_total(ch, l, x1, y))
-                    evals += 1
-                    if val > best + 1e-15:
-                        best = val
-                        x[i] = v
-                        improved = True
-            # exchange moves along the budget faces
-            for i, j in itertools.combinations(range(n), 2):
-                for sign in (1.0, -1.0):
-                    d = sign * s[i] * l[i]  # joules moved from epoch j to i
-                    vi = x[i] + d / l[i]
-                    vj = x[j] - d / l[j]
-                    if vi < 0.0 or vj < 0.0:
-                        continue
-                    y = x.copy()
-                    y[i], y[j] = vi, vj
-                    if not np.all(np.cumsum(y * l) <= caps + tol):
-                        continue
-                    val = (_fast_total(ch, l, y, x2) if node == 0
-                           else _fast_total(ch, l, x1, y))
-                    evals += 1
-                    if val > best + 1e-15:
-                        best = val
-                        x[:] = y
-                        improved = True
+            pos = (0, None)
+            while True:
+                rows, after = _sweep_moves(x, s, l, caps, *pos)
+                if not rows:
+                    break
+                Y = np.array(rows)
+                ok = np.flatnonzero(np.all(
+                    np.cumsum(Y * l, axis=1) <= caps + tol, axis=1))
+                Y = Y[ok]
+                vals = (_row_totals(ch, l, Y, x2) if node == 0
+                        else _row_totals(ch, l, x1, Y))
+                hit = np.flatnonzero(vals > best + 1e-15)
+                if hit.size == 0:
+                    evals += len(Y)
+                    break
+                r = int(hit[0])
+                evals += r + 1
+                best = float(vals[r])
+                x[:] = Y[r]
+                improved = True
+                pos = after[ok[r]]
         if not improved:
             s1 *= 0.5
             s2 *= 0.5

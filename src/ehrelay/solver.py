@@ -815,11 +815,13 @@ def solve_outer(ch, profile, cfg=None):
     l = epoch_lengths(profile)
     n = profile.n_epochs
 
-    counters = {"outer": 0, "inner": 0}
+    counters = {"outer": 0, "inner": 0, "gradients": 0}
 
     def inner(lam_vec, warm=None):
         counters["inner"] += 1
-        return solve_inner(ch, profile, lam_vec, cfg, warm=warm)
+        alloc, duals, rep = solve_inner(ch, profile, lam_vec, cfg, warm=warm)
+        counters["gradients"] += rep["gradients"]
+        return alloc, duals, rep
 
     if ch.a <= 1.0:
         lam = np.zeros(n)
@@ -1003,7 +1005,7 @@ def _build_solution(ch, profile, lam, alloc, duals, rep, counters,
         minmax_gap=gap,
         iterations=IterationCounters(outer=counters.get("outer", 0),
                                      inner_solves=counters.get("inner", 0),
-                                     inner_gradients=rep.get("gradients", 0)),
+                                     inner_gradients=counters.get("gradients", 0)),
         converged=converged,
         objective_weighted=weighted,
         warnings=tuple(warn),

@@ -139,6 +139,25 @@ class TestSolveOuter:
         assert abs(lam[0] - lam[1]) <= 1e-6
         assert abs(sol.allocation.p1[0] - sol.allocation.p1[1]) <= 1e-6
 
+    def test_inner_gradients_sum_over_inner_solves(self, monkeypatch):
+        import ehrelay.solver as solver_mod
+        counts = []
+        solve_inner_once = solver_mod.solve_inner
+
+        def counting(*args, **kwargs):
+            out = solve_inner_once(*args, **kwargs)
+            counts.append(out[2]["gradients"])
+            return out
+
+        monkeypatch.setattr(solver_mod, "solve_inner", counting)
+        prof = make_profile([0, 3], [4, 4], [2, 2], 6.0)
+        _, sol = solve_outer(CH, prof)
+        it = sol.iterations
+        assert it.inner_solves == len(counts) >= 2
+        assert it.inner_gradients == sum(counts)
+        assert it.inner_gradients > counts[-1]
+        assert it.inner_gradients >= it.inner_solves
+
     def test_weighted_envelope_ordering(self):
         # the envelope value at the minimizer is below other weight choices
         prof = make_profile([0], [6], [12], 6.0)
