@@ -2,10 +2,11 @@
 
 The schedule problem is a min-max: per epoch the delivered rate is the
 smaller of two bounds, and which one binds depends on the very powers being
-optimized.  The solver reformulates with per-epoch weights, maximizes the
-weighted throughput over the causality polytopes, minimizes over the weight
-box, and certifies the result through independently recomputed KKT
-residuals.
+optimized.  For b = 1 it is one concave program: maximize the summed
+multi-access rate over the causality polytopes and the cone
+p2 <= (a^2-1)*p1, where that bound is the smaller one.  The weight column
+is the min-max weight, 1 on every epoch here (a > 1); the solution is
+certified through independently recomputed KKT residuals.
 """
 
 import numpy as np

@@ -1,22 +1,31 @@
-"""Min-max schedule solver with KKT certification.
+"""Schedule solver for b = 1 with KKT certification.
 
-For per-epoch weights w_i in [0, 1] the inner problem maximizes
+The delivered rate of an epoch is min(R_ma, R_bc), so the schedule problem
+is a min-max.  For b = 1, Cauchy-Schwarz gives R_ma <= R_bc wherever
+p2 <= a^2*p1, with equality on the cone boundary p2 = (a^2-1)*p1, where
+dR_ma/dp2 = 0.  The optimal schedule therefore maximizes the concave program
 
-    sum_i l_i * [ w_i * R_ma(p1_i, p2_i) + (1 - w_i) * R_bc(p1_i) ]
+    sum_i l_i * R_ma(p1_i, p2_i)
 
-over the two energy-causality polytopes (one per node): every prefix of the
-consumed energy must stay below the harvested prefix, and powers are
-nonnegative.  The outer problem minimizes the resulting concave-program
-value over the weight box, and at the joint solution the weighted objective
-coincides with the true schedule throughput sum_i l_i * min(R_ma, R_bc).
+over the two energy-causality polytopes (one per node: every prefix of the
+consumed energy stays below the harvested prefix, powers are nonnegative)
+and the cone p2 <= (a^2-1)*p1.  :func:`solve_minmax` solves it with SLSQP
+and repairs the result exactly onto the feasible set.  If a <= 1 the rate is
+R_bc(p1) alone and the source staircase is exact.
 
-The inner solver is projected gradient ascent (Dykstra projection onto the
-prefix polytope) finished by a Newton polish on the active face; duals are
-recovered by nonnegative least squares on the stationarity system and the
-certificate is recomputed independently by :func:`kkt_residual`.
+The weights of the min-max form are lambda_i = 1 on every epoch (a > 1) or
+0 (a <= 1): inside the cone R_ma < R_bc, and on its boundary dR_ma/dp1 =
+dR_bc/dp1 and dR_ma/dp2 = 0, so the lambda = 1 stationarity system is the
+concave program's own.  Duals are recovered by nonnegative least squares on
+that system and the certificate is recomputed independently by
+:func:`kkt_residual`; since the weighted objective is concave and bounds
+min(R_ma, R_bc) from above, a small residual certifies global optimality.
+
+:func:`solve_inner` maximizes the weighted throughput for arbitrary
+per-epoch weights (projected gradient ascent with Dykstra projections and an
+active-face Newton polish); it serves the envelope-convexity checks.
 """
 
-import math
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -24,8 +33,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from . import capacity
 from .capacity import (
+    LN2,
     BranchUndefinedError,
     capacity_min,
     weighted_rate,
@@ -34,6 +43,7 @@ from .capacity import (
 from .profile import (
     RELAY,
     SOURCE,
+    ProfileError,
     cumulative_energies,
     epoch_lengths,
     require_valid,
@@ -153,13 +163,20 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration caps; all runs are deterministic given these."""
+    """Tolerances and iteration caps; all runs are deterministic given these.
+
+    tol_inner bounds the KKT residual of a certified schedule and tol_outer
+    its min-max gap (certified when the gap is <= 10*tol_outer).
+    max_iter_inner caps the SLSQP iterations of :func:`solve_minmax` and the
+    gradient evaluations of :func:`solve_inner`.  max_iter_outer has no
+    effect on b = 1 solves, which need no outer weight loop; it is accepted
+    so that existing configurations keep working.
+    """
 
     tol_inner: float = 1e-7
     tol_outer: float = 1e-5
     max_iter_inner: int = 4000
     max_iter_outer: int = 200
-    step0_outer: float | None = None   # default 1 / sum(epoch lengths)
     armijo_slope: float = 1e-4
     armijo_shrink: float = 0.5
     dykstra_tol: float = 1e-12
@@ -405,6 +422,7 @@ class _InnerProblem:
 
     def __init__(self, ch, profile, lam, cfg):
         self.ch = ch
+        self.profile = profile
         self.lam = np.asarray(lam, dtype=float)
         self.cfg = cfg
         self.l = epoch_lengths(profile)
@@ -684,74 +702,8 @@ def _polish_and_certify(prob, x, cfg, max_rounds=14):
 
 def _certify(prob, x):
     alloc = Allocation(p1=x[: prob.n], p2=x[prob.n:])
-    duals = _recover_duals_arrays(prob, x)
-    rep = _kkt_from_arrays(prob, x, duals)
-    return duals, rep
-
-
-def _recover_duals_arrays(prob, x):
-    n = prob.n
-    out = {}
-    g = _grad_for_certificate(prob, x)
-    for node, sl, caps, names in ((SOURCE, slice(0, n), prob.c1, ("xi", "vartheta")),
-                                  (RELAY, slice(n, 2 * n), prob.c2, ("mu", "eta"))):
-        p = x[sl]
-        gn = g[sl]
-        keep = ~_eliminated(caps)
-        tol = 1e-7 * max(1.0, caps[-1])
-        spend = prob.M @ p
-        act_pref = np.where(np.abs(spend - caps) <= tol)[0]
-        p_scale = max(1.0, float(np.max(p)) if p.size else 1.0)
-        act_zero = np.where((p <= 1e-9 * p_scale) & keep)[0]
-        cols = [prob.M.T[:, k] for k in act_pref]
-        for i in act_zero:
-            e = np.zeros(n)
-            e[i] = -1.0
-            cols.append(e)
-        prefix_mult = np.zeros(n)
-        zero_mult = np.zeros(n)
-        if cols:
-            A = np.column_stack(cols)[keep, :]
-            b = gn[keep]
-            if np.all(np.isfinite(b)) and A.size:
-                sol, _ = scipy.optimize.nnls(A, b)
-                prefix_mult[act_pref] = sol[: len(act_pref)]
-                zero_mult[act_zero] = sol[len(act_pref):]
-        out[names[0]] = prefix_mult
-        out[names[1]] = zero_mult
-    return DualVariables(xi=out["xi"], vartheta=out["vartheta"],
-                         mu=out["mu"], eta=out["eta"])
-
-
-def _grad_for_certificate(prob, x):
-    p1 = np.maximum(x[: prob.n], 0.0)
-    p2 = np.maximum(x[prob.n:], 0.0)
-    d1, d2 = weighted_rate_grad(prob.ch, p1, p2, prob.lam)
-    return np.concatenate([prob.l * d1, prob.l * d2])
-
-
-def _kkt_from_arrays(prob, x, duals):
-    n = prob.n
-    g = _grad_for_certificate(prob, x)
-    st1 = g[:n] - prob.M.T @ duals.xi + duals.vartheta
-    st2 = g[n:] - prob.M.T @ duals.mu + duals.eta
-    keep1 = ~_eliminated(prob.c1)
-    keep2 = ~_eliminated(prob.c2)
-    terms = np.concatenate([st1[keep1], st2[keep2]])
-    stationarity = float(np.max(np.abs(terms))) if terms.size else 0.0
-    spend1 = prob.M @ x[:n]
-    spend2 = prob.M @ x[n:]
-    slack = np.concatenate([
-        duals.xi * (spend1 - prob.c1),
-        duals.mu * (spend2 - prob.c2),
-        (duals.vartheta * x[:n])[keep1],
-        (duals.eta * x[n:])[keep2],
-    ])
-    slackness = float(np.max(np.abs(slack))) if slack.size else 0.0
-    feas = max(float(np.max(spend1 - prob.c1)), float(np.max(spend2 - prob.c2)),
-               float(np.max(-x)), 0.0)
-    return KktReport(stationarity=stationarity, slackness=slackness,
-                     feasibility=feas)
+    duals = recover_duals(prob.ch, prob.profile, alloc, prob.lam)
+    return duals, kkt_residual(prob.ch, prob.profile, alloc, duals, prob.lam)
 
 
 def _release_step(prob, x):
@@ -781,243 +733,152 @@ def _release_step(prob, x):
 
 
 # ---------------------------------------------------------------------------
-# Outer minimization over the weight box
+# The b = 1 schedule program
 
 
-def _branch_gap(ch, l, alloc):
-    """Per-epoch subgradient of the envelope: l_i*(R_ma - R_bc) at the maximizer."""
-    ma = capacity.rate_multi_access(ch, alloc.p1, alloc.p2)
-    bc = capacity.rate_broadcast(ch, alloc.p1)
-    return l * (np.asarray(ma) - np.asarray(bc))
+def _concave_program(ch, l, c1, c2, x0, max_iter):
+    """Maximize sum_i l_i*R_ma over both causality polytopes and the cone
+    p2 <= (a^2-1)*p1 with SLSQP, from the stacked start x0 = [p1; p2].
+
+    Powers whose prefix cap is zero (and relay powers whose source power is
+    forced to zero by the cone) are held at 0.  Returns the stacked result
+    and the number of gradient evaluations.
+    """
+    n = len(l)
+    a2 = ch.a ** 2
+    k = a2 - 1.0
+    scale = a2 * ch.noise
+
+    def parts(x):
+        # R_ma for b = 1 with the factor p1 cancelled: C((u + v)^2 / (a^2 N))
+        p1 = np.maximum(x[:n], 0.0)
+        p2 = np.maximum(x[n:], 1e-300)
+        u = np.sqrt(np.maximum(a2 * p1 - p2, 1e-300))
+        v = np.sqrt(k * p2)
+        return u, v, (u + v) ** 2 / scale
+
+    fixed = np.concatenate([c1 <= 0.0, (c1 <= 0.0) | (c2 <= 0.0)])
+    free = ~fixed
+    x = np.where(fixed, 0.0, x0)
+    if not np.any(free):
+        return x, 0
+
+    def full(z):
+        x[free] = z
+        return x
+
+    def f(z):
+        return -0.5 * float(l @ np.log2(1.0 + parts(full(z))[2]))
+
+    def grad(z):
+        u, v, snr = parts(full(z))
+        dc = l / (2.0 * LN2 * (1.0 + snr))
+        d1 = (u + v) / (u * ch.noise)
+        d2 = (u + v) * (k / v - 1.0 / u) / scale
+        return -np.concatenate([dc * d1, dc * d2])[free]
+
+    # both prefix systems and the cone as one inequality A x <= caps
+    P = _prefix_matrix(l)
+    Z = np.zeros((n, n))
+    A = np.block([[P, Z], [Z, P], [-k * np.eye(n), np.eye(n)]])[:, free]
+    caps = np.concatenate([c1, c2, np.zeros(n)])
+    res = scipy.optimize.minimize(
+        f, x[free], jac=grad, method="SLSQP",
+        bounds=[(0.0, None)] * int(np.sum(free)),
+        constraints={"type": "ineq", "fun": lambda z: caps - A @ z,
+                     "jac": lambda z: -A},
+        options={"ftol": 1e-15, "maxiter": max_iter})
+    return full(res.x).copy(), int(res.njev)
 
 
-def _projected_subgradient(lam, g, tol=0.0):
-    pg = np.array(g, dtype=float)
-    pg[(lam <= tol) & (g > 0.0)] = 0.0
-    pg[(lam >= 1.0 - tol) & (g < 0.0)] = 0.0
-    return pg
+def solve_minmax(ch, profile, cfg=None):
+    """Optimal b = 1 schedule with its weights, duals and KKT certificate.
 
-
-def solve_outer(ch, profile, cfg=None):
-    """Minimize the concave-program value over per-epoch weights in [0, 1].
-
-    Projected subgradient descent with the diminishing step step0/sqrt(iter)
-    (step0 defaults to 1/sum(l)); stops when the projected subgradient norm
-    drops below tol_outer or every weight sits on a sign-consistent boundary.
-    If the subgradient phase stalls, a deterministic cyclic bisection on each
-    coordinate (valid because the envelope is convex, so each partial
-    derivative is nondecreasing in its own weight) finishes the job.
-
-    Returns (weights, Solution).
+    For a > 1 the concave program (module docstring) is solved by SLSQP from
+    the staircase warm start, then repaired exactly: powers clipped at 0,
+    each node projected onto its causality polytope and p2 lowered onto the
+    cone.  If that point does not certify, an active-face Newton polish
+    refines it and the repair is applied again.  For a <= 1 the source
+    staircase is exact and the relay keeps its own staircase.  converged is
+    set by the independent certificate alone (KKT residual <= tol_inner and
+    minmax_gap <= 10*tol_outer), whatever the optimizer reported.  b != 1 raises ProfileError: the reduction and the
+    certificate hold only for b = 1.
     """
     cfg = cfg or SolverConfig()
-    require_valid(profile, allow_degenerate=True)
+    if ch.b != 1.0:
+        raise ProfileError([
+            "b = %g is outside the model: schedules are solved for b = 1 "
+            "only, where the multi-access and broadcast bounds meet on the "
+            "cone p2 = (a^2-1)*p1" % ch.b])
+    waived = require_valid(profile, allow_degenerate=True)
+    warn = []
+    if waived:
+        warn.append("degenerate profile: " + "; ".join(waived))
+        _warnings.warn(warn[0])
     l = epoch_lengths(profile)
     n = profile.n_epochs
+    c1 = cumulative_energies(profile, SOURCE)
+    c2 = cumulative_energies(profile, RELAY)
+    lam = np.full(n, 1.0 if ch.a > 1.0 else 0.0)
 
-    counters = {"outer": 0, "inner": 0, "gradients": 0}
-
-    def inner(lam_vec, warm=None):
-        counters["inner"] += 1
-        alloc, duals, rep = solve_inner(ch, profile, lam_vec, cfg, warm=warm)
-        counters["gradients"] += rep["gradients"]
-        return alloc, duals, rep
-
-    if ch.a <= 1.0:
-        lam = np.zeros(n)
-        alloc, duals, rep = inner(lam)
-        sol = _build_solution(ch, profile, lam, alloc, duals, rep, counters,
-                              outer_converged=True, cfg=cfg)
-        return lam, sol
-
-    # start from the branch indicator at the feasible warm-start schedule
-    w1, w2 = _warm_start(profile)
-    warm0 = Allocation(p1=w1, p2=w2)
-    gap0 = _branch_gap(ch, l, warm0)
-    lam = np.where(gap0 < 0.0, 1.0, np.where(gap0 > 0.0, 0.0, 0.5))
-
-    step0 = cfg.step0_outer if cfg.step0_outer is not None else 1.0 / float(np.sum(l))
-    prev_alloc = None
-    best = None
-    outer_converged = False
-    for it in range(1, cfg.max_iter_outer + 1):
-        counters["outer"] += 1
-        alloc, duals, rep = inner(lam, warm=prev_alloc)
-        prev_alloc = alloc
-        fstar = rep["objective"]
-        if best is None or fstar < best[1] - 1e-15:
-            best = (lam.copy(), fstar)
-        g = _branch_gap(ch, l, alloc)
-        pg = _projected_subgradient(lam, g)
-        if float(np.max(np.abs(pg))) <= cfg.tol_outer:
-            outer_converged = True
-            break
-        lam = np.clip(lam - (step0 / math.sqrt(it)) * g, 0.0, 1.0)
-
-    if not outer_converged:
-        lam = best[0].copy() if best is not None else lam
-        lam, prev_alloc, outer_converged = _coordinate_bisection(
-            ch, profile, lam, cfg, inner, prev_alloc)
-
-    alloc, duals, rep = inner(lam, warm=prev_alloc)  # deterministic final solve
-    sol = _build_solution(ch, profile, lam, alloc, duals, rep, counters,
-                          outer_converged=outer_converged, cfg=cfg)
-    return lam, sol
-
-
-def _coordinate_bisection(ch, profile, lam, cfg, inner, warm, max_sweeps=6):
-    """Deterministic fallback: per-coordinate root finding on the envelope
-    gradient, cycling until every coordinate is sign-consistent."""
-    l = epoch_lengths(profile)
-    n = profile.n_epochs
-    lam = lam.copy()
-
-    def grad_at(lam_vec, warm_alloc):
-        alloc, _, _ = inner(lam_vec, warm=warm_alloc)
-        return _branch_gap(ch, l, alloc), alloc
-
-    alloc = warm
-    for _ in range(max_sweeps):
-        moved = False
-        for i in range(n):
-            g, alloc = grad_at(lam, alloc)
-            if abs(g[i]) <= cfg.tol_outer * 0.5:
-                continue
-            if g[i] > 0 and lam[i] <= 0.0:
-                continue
-            if g[i] < 0 and lam[i] >= 1.0:
-                continue
-            lo, hi = 0.0, 1.0
-            trial = lam.copy()
-            trial[i] = lo
-            g_lo, alloc = grad_at(trial, alloc)
-            if g_lo[i] >= 0.0:
-                lam[i] = lo
-                moved = True
-                continue
-            trial[i] = hi
-            g_hi, alloc = grad_at(trial, alloc)
-            if g_hi[i] <= 0.0:
-                lam[i] = hi
-                moved = True
-                continue
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                trial[i] = mid
-                g_mid, alloc = grad_at(trial, alloc)
-                if abs(g_mid[i]) <= cfg.tol_outer * 0.25:
-                    break
-                if g_mid[i] > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            lam[i] = trial[i]
-            moved = True
-        g, alloc = grad_at(lam, alloc)
-        pg = _projected_subgradient(lam, g)
-        if float(np.max(np.abs(pg))) <= cfg.tol_outer:
-            return lam, alloc, True
-        if not moved:
-            break
-    return lam, alloc, False
-
-
-def _canonicalize_flat_relay(ch, profile, alloc, lam):
-    """Backward-fill relay power where the objective is exactly flat in p2.
-
-    Epochs with zero weight in the broadcast-active region (or every epoch
-    when a <= 1) leave p2 undetermined; among the optimal choices, copying
-    the neighboring pinned values (clipped above the branch boundary so the
-    broadcast bound stays active) favors monotone, change-free schedules.
-    The repair is kept only when it stays feasible, preserves total_bits to
-    1e-12 relative, and strictly reduces the number of failed structure
-    checks; otherwise the original allocation is returned.
-    """
-    n = alloc.p1.size
-    lam = np.asarray(lam, dtype=float)
-    p1 = alloc.p1
-    p2 = alloc.p2
-    if ch.a <= 1.0:
-        free = np.ones(n, dtype=bool)
-        lo = np.zeros(n)
-    else:
-        broadcast_active = (ch.a ** 2 - 1.0) * p1 < p2
-        free = (lam <= 1e-9) & broadcast_active
-        lo = np.nextafter((ch.a ** 2 - 1.0) * p1, np.inf)
-    if not np.any(free):
-        return alloc
-    new = p2.copy()
-    nxt = None
-    for i in range(n - 1, -1, -1):
-        if not free[i]:
-            nxt = p2[i]
-        else:
-            new[i] = nxt if nxt is not None else np.nan
-    prev = 0.0
-    for i in range(n):
-        if not free[i]:
-            prev = new[i]
-        elif math.isnan(new[i]):
-            new[i] = prev
-    if ch.a > 1.0:
-        new = np.where(free, np.maximum(new, lo), new)
-    candidate = Allocation(p1=p1.copy(), p2=new)
-    try:
-        total_new, _ = evaluate_schedule(ch, profile, candidate)
-        total_old, _ = evaluate_schedule(ch, profile, alloc)
-    except FeasibilityError:
-        return alloc
-    if abs(total_new - total_old) > 1e-12 * max(1.0, abs(total_old)):
-        return alloc
-    fails_old = sum(not c.passed for c in invariant_report(ch, profile, alloc))
-    fails_new = sum(not c.passed for c in invariant_report(ch, profile, candidate))
-    return candidate if fails_new < fails_old else alloc
-
-
-def _build_solution(ch, profile, lam, alloc, duals, rep, counters,
-                    outer_converged, cfg=None):
-    l = epoch_lengths(profile)
-    repaired = _canonicalize_flat_relay(ch, profile, alloc, lam)
-    if repaired is not alloc:
-        alloc = repaired
+    def certificate(alloc):
         duals = recover_duals(ch, profile, alloc, lam)
+        return duals, kkt_residual(ch, profile, alloc, duals, lam)
+
+    p1, p2 = _warm_start(profile)
+    if ch.a <= 1.0:
+        alloc = Allocation(p1=p1, p2=p2)
+        duals, kkt = certificate(alloc)
+        counters = IterationCounters()
+    else:
+        k = ch.a ** 2 - 1.0
+
+        def repaired(x):
+            q1 = project_causality(np.maximum(x[:n], 0.0), l, c1)
+            # projection only lowers powers, so p2 stays on the cone
+            q2 = project_causality(np.minimum(np.maximum(x[n:], 0.0), k * q1),
+                                   l, c2)
+            return Allocation(p1=q1, p2=q2)
+
+        x, grads = _concave_program(ch, l, c1, c2,
+                                    np.concatenate([p1, np.minimum(p2, k * p1)]),
+                                    cfg.max_iter_inner)
+        alloc = repaired(x)
+        duals, kkt = certificate(alloc)
+        if not kkt.certified(cfg.tol_inner):
+            # SLSQP stops once the objective stalls in its last bit, which
+            # can leave the powers about 1e-8 off; Newton steps on the active
+            # face of the lambda = 1 program finish them
+            prob = _InnerProblem(ch, profile, lam, cfg)
+            x = _polish_and_certify(prob, np.concatenate([alloc.p1, alloc.p2]),
+                                    cfg)[0]
+            grads += prob.grad_calls
+            alloc = repaired(x)
+            duals, kkt = certificate(alloc)
+        counters = IterationCounters(inner_solves=1, inner_gradients=grads)
+
     total, rates = evaluate_schedule(ch, profile, alloc)
-    weighted = rep["objective"]
+    weighted = float(np.sum(l * weighted_rate(ch, alloc.p1, alloc.p2, lam)))
     gap = abs(weighted - total)
-    warn = list(rep.get("warnings", ()))
-    # flag epochs where the clamped radicand carries positive weight
-    s1 = alloc.p1 * (ch.a ** 2 * alloc.p1 - ch.b ** 2 * alloc.p2)
-    clamped = (s1 < 0.0) & (np.asarray(lam) > 1e-6)
-    if np.any(clamped):
-        warn.append("clamped radicand active with positive weight at epochs %s"
-                    % (np.where(clamped)[0] + 1).tolist())
-    kkt = kkt_residual(ch, profile, alloc, duals, lam)
-    tol_outer = (cfg or SolverConfig()).tol_outer
-    converged = (bool(rep.get("converged", False)) and bool(outer_converged)
-                 and gap <= 10.0 * tol_outer)
     return Solution(
         allocation=alloc,
-        lam=np.asarray(lam, dtype=float),
+        lam=lam,
         rates=tuple(rates),
         total_bits=total,
         duals=duals,
         kkt=kkt,
         minmax_gap=gap,
-        iterations=IterationCounters(outer=counters.get("outer", 0),
-                                     inner_solves=counters.get("inner", 0),
-                                     inner_gradients=counters.get("gradients", 0)),
-        converged=converged,
+        iterations=counters,
+        converged=kkt.certified(cfg.tol_inner) and gap <= 10.0 * cfg.tol_outer,
         objective_weighted=weighted,
         warnings=tuple(warn),
     )
 
 
-def solve_minmax(ch, profile, cfg=None):
-    """End-to-end schedule: outer weight minimization, then the true
-    min-branch throughput of the final allocation; minmax_gap records the
-    weighted-versus-min consistency required at a genuine saddle point."""
-    _, sol = solve_outer(ch, profile, cfg)
-    return sol
+def solve_outer(ch, profile, cfg=None):
+    """The weights and the schedule of :func:`solve_minmax`: (lam, Solution)."""
+    sol = solve_minmax(ch, profile, cfg)
+    return sol.lam, sol
 
 
 # ---------------------------------------------------------------------------

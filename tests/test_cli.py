@@ -197,3 +197,26 @@ class TestPlotdata:
         consumed = (tmp_path / "z_consumed.csv").read_text().strip().split("\n")
         for line in consumed[1:]:
             assert float(line.split(",")[1]) == 0.0
+
+
+class TestModelBoundary:
+    """b != 1 lies outside the solved model: validation error, exit 3."""
+
+    @pytest.fixture
+    def b075_file(self, tmp_path):
+        ch = ChannelParams(a=2.0, b=0.75, noise=1.0)
+        prof = make_profile([0, 2], [4, 6], [2, 5], 5.0)  # general profile
+        return write_problem(tmp_path / "b075.json", ch, prof), tmp_path
+
+    def test_solve_general_exit_3(self, b075_file, capsys):
+        path, tmp = b075_file
+        rc = main(["solve", path, "--case", "general", "--out", str(tmp)])
+        assert rc == 3
+        assert "b = 1 only" in capsys.readouterr().err
+        assert not os.path.exists(tmp / "b075_schedule.json")
+
+    def test_plotdata_exit_3(self, b075_file, capsys):
+        path, tmp = b075_file
+        rc = main(["plotdata", path, "--out", str(tmp)])
+        assert rc == 3
+        assert "b = 1 only" in capsys.readouterr().err
