@@ -14,12 +14,17 @@ Both hot loops return exactly the floats of the plain one-at-a-time forms
 (kept as references in tests/test_oracle.py).  The pair sweep sums the
 epochs before the last only once per distinct column prefix and adds the
 prefix's largest last-epoch entry; rounding is monotone, so each row maximum
-is the same float as in the full pair matrix.  The pattern polish scores all
-the moves left in a sweep in one rate call, accepts the first that improves,
-and rebuilds the moves after it from the new point.
+is the same float as in the full pair matrix.  The pattern polish starts
+each sweep by scoring, in one rate call, the moves of every step level that a
+run of sweeps without improvement could reach.  Such a run keeps the point
+fixed, halving a step is exact, and the stop rule and the sweep cap fix the
+run's length before it starts, so each level holds the very moves of one
+sweep of the run.  The first improving move ends the batch; the polish
+accepts it and finishes that sweep as before: the moves left in a node's
+sweep are scored together and rebuilt from the new point after each
+accepted move.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -182,57 +187,93 @@ def _row_totals(ch, l, p1, p2):
     return np.sum(l * active_rate(ch, p1, p2), axis=-1)
 
 
-def _tight_candidates(x, i, lengths, caps):
-    """Values for coordinate i that make some prefix k >= i exactly tight."""
-    n = len(x)
-    spend_wo = np.cumsum(x * lengths) - np.concatenate(
-        [np.zeros(i), np.full(n - i, x[i] * lengths[i])])
-    out = []
-    for k in range(i, n):
-        v = (caps[k] - spend_wo[k]) / lengths[i]
-        if v >= 0.0:
-            out.append(v)
-    return out
-
-
-def _sweep_moves(x, s, lengths, caps, i0, rest):
-    """Points reached by the moves left in one node's sweep, all taken from x.
+def _sweep_moves(x, S, lengths, caps, i0, rest):
+    """Points reached by the moves left in one node's sweep, all taken from x,
+    at every step level: row j of S holds the steps of level j.
 
     The sweep is the coordinate moves of coordinates 0..n-1 followed by the
-    exchange moves; position i >= n is exchange move i - n.  It resumes at
-    position i0, where rest, unless None, holds coordinate i0's remaining
-    candidate values.  Returns the points in sweep order, each with the
-    (i0, rest) position that follows it.
+    exchange moves; position i >= n is exchange move i - n.  Coordinate i
+    tries x_i + s_i, x_i - s_i and then the values that make some prefix
+    k >= i exactly tight.  The sweep resumes at position i0, where rest,
+    unless None, holds coordinate i0's remaining candidate values.
+
+    Returns (Y, ok, after): Y[j, p] is the point of move p at level j, ok
+    marks the moves that set no power negative, and after(j, p) is the
+    (i0, rest) position that follows move p at level j.
     """
     n = len(x)
-    rows = []
-    after = []
-    for i in range(i0, n):
-        if i == i0 and rest is not None:
-            cands = rest
-        else:
-            cands = [x[i] + s[i], x[i] - s[i]]
-            cands.extend(_tight_candidates(x, i, lengths, caps))
-        for k, v in enumerate(cands):
-            if v < 0.0:
-                continue
-            y = x.copy()
-            y[i] = v
-            rows.append(y)
-            after.append((i, cands[k + 1:]))
-    pairs = list(itertools.combinations(range(n), 2))
-    for e in range(max(i0 - n, 0), 2 * len(pairs)):
-        i, j = pairs[e // 2]
-        d = (1.0, -1.0)[e % 2] * s[i] * lengths[i]  # joules moved from j to i
-        vi = x[i] + d / lengths[i]
-        vj = x[j] - d / lengths[j]
-        if vi < 0.0 or vj < 0.0:
-            continue
-        y = x.copy()
-        y[i], y[j] = vi, vj
-        rows.append(y)
-        after.append((n + e + 1, None))
-    return rows, after
+    levels = len(S)
+    spend = x * lengths
+    tight = (caps - (np.cumsum(spend) - spend[:, None])) / lengths[:, None]
+    start = i0 if rest is None else i0 + 1
+    cand = np.concatenate([np.stack([x + S, x - S], axis=2),
+                           np.broadcast_to(tight, (levels, n, n))], axis=2)
+    keep = np.concatenate([np.ones((n, 2), bool), np.triu(tight >= 0.0)],
+                          axis=1)[start:].ravel()
+    V = cand[:, start:].reshape(levels, -1)[:, keep]
+    col = np.repeat(np.arange(start, n), n + 2)[keep]
+    if rest is not None:
+        V = np.concatenate([np.broadcast_to(rest, (levels, len(rest))), V],
+                           axis=1)
+        col = np.concatenate([np.full(len(rest), i0), col])
+    e0 = max(i0 - n, 0)
+    pi, pj = np.triu_indices(n, 1)
+    pi = np.repeat(pi, 2)[e0:]
+    pj = np.repeat(pj, 2)[e0:]
+    sign = np.tile([1.0, -1.0], n * (n - 1) // 2)[e0:]
+    d = sign * S[:, pi] * lengths[pi]  # joules moved from pj to pi
+    vi = x[pi] + d / lengths[pi]
+    vj = x[pj] - d / lengths[pj]
+    m = len(col)
+    Y = np.tile(x, (levels, m + len(pi), 1))
+    Y[:, np.arange(m), col] = V
+    Y[:, m + np.arange(len(pi)), pi] = vi
+    Y[:, m + np.arange(len(pi)), pj] = vj
+    ok = np.concatenate([~(V < 0.0), ~((vi < 0.0) | (vj < 0.0))], axis=1)
+    end = np.searchsorted(col, col, side="right")
+
+    def after(j, p):
+        if p < m:
+            return int(col[p]), V[j, p + 1:end[p]]
+        return n + e0 + (p - m) + 1, None
+
+    return Y, ok, after
+
+
+def _first_gain(ch, l, tol, points, caps, blocks, best):
+    """Score every feasible move of blocks in one active_rate call.
+
+    blocks holds (node, Y, ok, after) tuples from _sweep_moves with the same
+    number of levels; a move of node k replaces points[k] and keeps the other
+    node's point.  The moves are taken level by level, and within a level
+    block by block.  Returns (count, hit): count is the number of feasible
+    moves up to and including the first that beats best by more than 1e-15,
+    or all of them if none does, and hit is that move's (level, block, move,
+    value), or None.
+    """
+    n = len(l)
+    Y = np.concatenate([b[1] for b in blocks], axis=1)
+    node = np.concatenate([np.full(b[1].shape[1], b[0]) for b in blocks])
+    cap = np.where(node[:, None] == 0, caps[0], caps[1])
+    ok = np.concatenate([b[2] for b in blocks], axis=1)
+    ok &= np.all(np.cumsum(Y * l, axis=2) <= cap + tol, axis=2)
+    idx = np.flatnonzero(ok)
+    if idx.size == 0:
+        return 0, None
+    moved = Y.reshape(-1, n)[idx]
+    first = np.tile(node == 0, len(Y))[idx, None]
+    vals = _row_totals(ch, l, np.where(first, moved, points[0]),
+                       np.where(first, points[1], moved))
+    hit = np.flatnonzero(vals > best + 1e-15)
+    if hit.size == 0:
+        return len(vals), None
+    r = int(hit[0])
+    j, p = divmod(int(idx[r]), Y.shape[1])
+    b = 0
+    while p >= blocks[b][1].shape[1]:
+        p -= blocks[b][1].shape[1]
+        b += 1
+    return r + 1, (j, b, p, float(vals[r]))
 
 
 def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
@@ -243,15 +284,24 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
     evaluations only.  Each node's sweep visits its moves in a fixed order
     and accepts every feasible move that beats the incumbent by more than
     1e-15; a coordinate's candidate values are fixed when the sweep reaches
-    it.
+    it.  A sweep in which neither node improves halves every step, and the
+    descent stops once the largest step falls below 1e-11 of the powers'
+    scale, or after max_sweeps sweeps.
 
-    The moves are scored in batches: every move left in the sweep is taken
-    from the current point, all feasible ones are scored in one active_rate
-    call, and the first improving one is accepted.  The moves before it did
-    not improve, and the moves after it are rebuilt from the new point, so
-    the sweep accepts the same moves as one that scores them one at a time.
-    evaluations counts the feasible moves up to and including each accepted
-    one, and all of them in a batch with no improving move.
+    The moves are scored in batches that give the same result as scoring
+    them one at a time.  A sweep starts with one batch over every step level
+    its run of flat sweeps (sweeps with no improvement) could reach: such a
+    run keeps x1 and x2 fixed, halving a step is exact, and the stop rule and
+    max_sweeps fix the run's length before it starts, so level j holds the
+    very moves the j-th flat sweep would try.  If no move improves, the whole
+    run is done at once.  Otherwise the levels before the first improving
+    move were flat sweeps; that move is accepted and the sweep goes on at
+    its level one batch at a time: every move left in the node's sweep is
+    taken from the current point, all feasible ones are scored together,
+    the first improving one is accepted and the moves after it are rebuilt
+    from the new point.  evaluations counts the feasible moves up to and
+    including each accepted one, and all of them in a batch with no
+    improving move.
     """
     l = epoch_lengths(profile)
     c1 = cumulative_energies(profile, SOURCE)
@@ -259,41 +309,51 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
     x1 = np.array(p1, dtype=float)
     x2 = np.array(p2, dtype=float)
     best = float(_row_totals(ch, l, x1, x2))
-    s1 = np.array(steps1, dtype=float)
-    s2 = np.array(steps2, dtype=float)
+    steps = (np.array(steps1, dtype=float), np.array(steps2, dtype=float))
     scale = max(1.0, float(np.max(np.abs(np.concatenate([x1, x2])))))
+    stop = 1e-11 * scale
     tol = 1e-12 * max(1.0, c1[-1], c2[-1])
+    points, caps = (x1, x2), (c1, c2)
     evals = 0
-    for _ in range(max_sweeps):
-        improved = False
-        for node in (0, 1):
-            x, caps, s = (x1, c1, s1) if node == 0 else (x2, c2, s2)
-            pos = (0, None)
-            while True:
-                rows, after = _sweep_moves(x, s, l, caps, *pos)
-                if not rows:
-                    break
-                Y = np.array(rows)
-                ok = np.flatnonzero(np.all(
-                    np.cumsum(Y * l, axis=1) <= caps + tol, axis=1))
-                Y = Y[ok]
-                vals = (_row_totals(ch, l, Y, x2) if node == 0
-                        else _row_totals(ch, l, x1, Y))
-                hit = np.flatnonzero(vals > best + 1e-15)
-                if hit.size == 0:
-                    evals += len(Y)
-                    break
-                r = int(hit[0])
-                evals += r + 1
-                best = float(vals[r])
-                x[:] = Y[r]
-                improved = True
-                pos = after[ok[r]]
-        if not improved:
-            s1 *= 0.5
-            s2 *= 0.5
-            if float(np.max(np.concatenate([s1, s2]))) < 1e-11 * scale:
+    done = 0
+    while done < max_sweeps:
+        # the levels a run of flat sweeps starting here could reach
+        levels = 1
+        top = float(np.max(np.concatenate(steps)))
+        while levels < max_sweeps - done:
+            top *= 0.5
+            if top < stop:
                 break
+            levels += 1
+        halve = np.full((levels - 1, len(l)), 0.5)
+        S = [np.cumprod(np.vstack([s, halve]), axis=0) for s in steps]
+        blocks = [(k,) + _sweep_moves(points[k], S[k], l, caps[k], 0, None)
+                  for k in (0, 1)]
+        count, hit = _first_gain(ch, l, tol, points, caps, blocks, best)
+        evals += count
+        if hit is None:
+            steps = (S[0][-1] * 0.5, S[1][-1] * 0.5)
+            done += levels
+            if float(np.max(np.concatenate(steps))) < stop:
+                break
+            continue
+        steps = (S[0][hit[0]], S[1][hit[0]])
+        done += hit[0] + 1
+        # finish the sweep at the hit's level, one batch at a time
+        while hit is not None:
+            j, b, p, best = hit
+            k, Y, _, after = blocks[b]
+            points[k][:] = Y[j, p]
+            pos = after(j, p)
+            for k in range(k, 2):
+                blocks = [(k,) + _sweep_moves(points[k], steps[k][None], l,
+                                              caps[k], *pos)]
+                count, hit = _first_gain(ch, l, tol, points, caps, blocks,
+                                         best)
+                evals += count
+                if hit is not None:
+                    break
+                pos = (0, None)
     return x1, x2, best, evals
 
 

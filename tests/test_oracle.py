@@ -252,18 +252,22 @@ class TestExactAgreement:
                 want = _ref_pair_sweep(tables, idx1, idx2, block=block)
                 assert got == want, (trial, block)
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_polish_matches_one_move_at_a_time(self, k):
+        # steps log-uniform in [1e-9, 0.5]; a small max_sweeps can stop the
+        # polish inside a run of flat sweeps that the package does at once
         rng = np.random.default_rng(40 + k)
-        for _ in range(4):
+        for max_sweeps in (1, 2, 5, 200) * 2:
             ch, prof = random_instance(rng, k)
             l = epoch_lengths(prof)
             p1 = _random_feasible(rng, l, cumulative_energies(prof, SOURCE))
             p2 = _random_feasible(rng, l, cumulative_energies(prof, RELAY))
-            steps1 = rng.uniform(0.01, 0.5, k + 1)
-            steps2 = rng.uniform(0.01, 0.5, k + 1)
-            got = oracle._pattern_polish(ch, prof, p1, p2, steps1, steps2)
-            want = _ref_pattern_polish(ch, prof, p1, p2, steps1, steps2)
+            steps1 = np.exp(rng.uniform(np.log(1e-9), np.log(0.5), k + 1))
+            steps2 = np.exp(rng.uniform(np.log(1e-9), np.log(0.5), k + 1))
+            got = oracle._pattern_polish(ch, prof, p1, p2, steps1, steps2,
+                                         max_sweeps)
+            want = _ref_pattern_polish(ch, prof, p1, p2, steps1, steps2,
+                                       max_sweeps)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
@@ -271,7 +275,7 @@ class TestExactAgreement:
 
     def test_grid_search_matches_reference_phases(self, monkeypatch):
         rng = np.random.default_rng(9)
-        cases = [random_instance(rng, k) for k in (0, 1, 2)]
+        cases = [random_instance(rng, k) for k in (0, 0, 1, 1, 2, 2)]
         cfg = GridConfig(points_per_dim=10, refinement_rounds=1)
         got = [grid_search(ch, prof, cfg) for ch, prof in cases]
         monkeypatch.setattr(oracle, "_pair_sweep", _ref_pair_sweep)
