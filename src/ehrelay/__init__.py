@@ -53,7 +53,6 @@ from .solver import (
     FeasibilityError,
     evaluate_schedule,
     solve_inner,
-    solve_outer,
     solve_minmax,
     kkt_residual,
     recover_duals,

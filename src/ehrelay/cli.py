@@ -3,9 +3,12 @@
 Subcommands::
 
     ehrelay solve    PROBLEM.json [--case auto|general|proportional|source-only|relay-only]
-    ehrelay oracle   PROBLEM.json [--grid N]
+    ehrelay oracle   PROBLEM.json [--grid N] [--rounds N] [--budget X]
     ehrelay check    PROBLEM.json SCHEDULE.json
     ehrelay plotdata PROBLEM.json
+
+solve and plotdata take --tol-inner, --tol-outer and --max-iter; every
+subcommand but check takes --out.
 
 Exit codes: 0 success, 1 internal error (or failed checks for ``check``),
 2 parse error, 3 validation/budget error, 4 solver non-convergence (partial
@@ -102,17 +105,9 @@ def _load(args):
 
 
 def _solver_config(args):
-    kw = {}
-    if getattr(args, "tol_inner", None) is not None:
-        kw["tol_inner"] = args.tol_inner
-    if getattr(args, "tol_outer", None) is not None:
-        kw["tol_outer"] = args.tol_outer
-    if getattr(args, "max_iter", None) is not None:
-        kw["max_iter_inner"] = args.max_iter
-        kw["max_iter_outer"] = args.max_iter
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    return SolverConfig(**kw)
+    kw = {"tol_inner": args.tol_inner, "tol_outer": args.tol_outer,
+          "max_iter_inner": args.max_iter}
+    return SolverConfig(**{k: v for k, v in kw.items() if v is not None})
 
 
 def _detect_case(profile):
@@ -125,6 +120,23 @@ def _detect_case(profile):
     if e2[0] > 0 and np.all(e2[1:] == 0) and np.any(e1 > 0):
         return "source-only"
     return "general"
+
+
+def _dispatch(ch, profile, case, cfg):
+    """Solve with the closed form of case, or the general solver; "auto"
+    detects the case from the profile.  Returns (case, Solution)."""
+    if case == "auto":
+        case = _detect_case(profile)
+    if case == "proportional":
+        gamma = proportionality(profile)
+        if gamma is None:
+            raise ProfileError(["profile is not proportional"])
+        return case, solve_proportional(ch, profile, gamma)
+    if case == "relay-only":
+        return case, solve_relay_only(ch, profile)
+    if case == "source-only":
+        return case, solve_source_only(ch, profile)
+    return "general", solve_minmax(ch, profile, cfg)
 
 
 def _schedule_payload(ch, profile, sol, case):
@@ -156,26 +168,10 @@ def _schedule_payload(ch, profile, sol, case):
 def cmd_solve(args):
     started = time.monotonic()
     ch, profile = _load(args)
-    cfg = _solver_config(args)
-    case = args.case
-    if case == "auto":
-        case = _detect_case(profile)
-    if case == "proportional":
-        gamma = proportionality(profile)
-        if gamma is None:
-            raise ProfileError(["profile is not proportional"])
-        sol = solve_proportional(ch, profile, gamma)
-    elif case == "relay-only":
-        sol = solve_relay_only(ch, profile)
-    elif case == "source-only":
-        sol = solve_source_only(ch, profile)
-    else:
-        case = "general"
-        sol = solve_minmax(ch, profile, cfg)
-
+    case, sol = _dispatch(ch, profile, args.case, _solver_config(args))
     payload = _schedule_payload(ch, profile, sol, case)
     out_path = _out_path(args, "_schedule.json")
-    overrides = _overrides(args, ("case", "tol-inner", "tol-outer", "max-iter", "seed"))
+    overrides = _overrides(args, ("case", "tol-inner", "tol-outer", "max-iter"))
     payload["manifest"] = _manifest(args, "solve", [out_path], started, overrides)
     _write_json(out_path, payload)
     print("case=%s epochs=%d total_bits=%.12g kkt_residual=%.3g minmax_gap=%.3g -> %s"
@@ -252,16 +248,7 @@ def cmd_check(args):
 def cmd_plotdata(args):
     started = time.monotonic()
     ch, profile = _load(args)
-    cfg = _solver_config(args)
-    case = _detect_case(profile)
-    if case == "proportional":
-        sol = solve_proportional(ch, profile, proportionality(profile))
-    elif case == "relay-only":
-        sol = solve_relay_only(ch, profile)
-    elif case == "source-only":
-        sol = solve_source_only(ch, profile)
-    else:
-        sol = solve_minmax(ch, profile, cfg)
+    _, sol = _dispatch(ch, profile, "auto", _solver_config(args))
 
     stem = os.path.splitext(os.path.basename(args.input))[0]
     outdir = args.out or "."
@@ -318,35 +305,38 @@ def build_parser():
         description="Offline-optimal schedules for an energy-harvesting relay link")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def input_and_out(p):
         p.add_argument("input", help="problem JSON file")
         p.add_argument("--out", default=None, help="output directory")
+
+    def solver_flags(p):
         p.add_argument("--tol-inner", type=float, default=None)
         p.add_argument("--tol-outer", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("solve", help="compute an optimal schedule")
-    common(p)
+    input_and_out(p)
+    solver_flags(p)
     p.add_argument("--case", default="auto",
                    choices=["auto", "general", "proportional",
                             "source-only", "relay-only"])
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force grid search (K <= 2)")
-    common(p)
+    input_and_out(p)
     p.add_argument("--grid", type=int, default=None, help="points per dimension")
     p.add_argument("--rounds", type=int, default=None, help="refinement rounds")
     p.add_argument("--budget", type=float, default=None, help="evaluation budget")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("check", help="verify a schedule file against its profile")
-    common(p)
+    p.add_argument("input", help="problem JSON file")
     p.add_argument("schedule", help="schedule JSON file produced by solve")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("plotdata", help="emit CSV staircase/consumption/step data")
-    common(p)
+    input_and_out(p)
+    solver_flags(p)
     p.set_defaults(func=cmd_plotdata)
     return parser
 

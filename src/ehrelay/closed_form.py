@@ -18,6 +18,14 @@ reach); segment powers strictly increase and every interior breakpoint has
 a tight cumulative-energy constraint.  The water-filling form
 [1/(2*A) - 1/K]^+ is what KKT stationarity yields for these AWGN-slope
 rates; it is exposed so the functional form can be tested directly.
+
+Each special case returns the same Solution as :func:`solver.solve_minmax`,
+built by the same code: multipliers from :func:`solver.recover_duals`
+(nonnegative least squares) and the certificate of
+:func:`solver.kkt_residual`.  Unlike solve_minmax, a closed form is labelled
+converged whatever that certificate says.  The single-harvester schedules
+are not always optimal (a flat spend of the single battery can be beaten),
+and their kkt_residual then shows the shortfall.
 """
 
 import math
@@ -26,17 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import capacity_min, weighted_rate_grad
-from .profile import RELAY, SOURCE, cumulative_energies, epoch_lengths, \
-    proportionality, require_valid
-from .solver import (
-    Allocation,
-    DualVariables,
-    IterationCounters,
-    Solution,
-    evaluate_schedule,
-    kkt_residual,
-)
+from .capacity import active_rate
+from .profile import RELAY, SOURCE, proportionality, require_valid
+from .solver import Allocation, _solution
 
 __all__ = [
     "Breakpoints",
@@ -190,77 +190,9 @@ def relay_saturation_power(ch, p_source):
     # if the flat branch beyond the boundary is strictly better (possible for
     # b != 1 where the two branches do not meet), saturate just beyond it
     just_past = np.nextafter(boundary, np.inf)
-    from .capacity import active_rate
     if active_rate(ch, p_source, just_past) > active_rate(ch, p_source, psat):
         return float(just_past)
     return float(psat)
-
-
-# ---------------------------------------------------------------------------
-# Solution assembly shared by the special cases
-
-
-def _duals_from_gradients(ch, profile, alloc, lam):
-    """Exact multipliers from the schedule's own gradients.
-
-    Inside a constant-power segment the rate gradient is constant, so the
-    backward difference of the per-epoch gradients yields nonnegative
-    prefix multipliers that are positive exactly at the segment boundaries
-    (where the causality constraint is tight)."""
-    l = epoch_lengths(profile)
-    n = len(l)
-    d1, d2 = weighted_rate_grad(ch, alloc.p1, np.maximum(alloc.p2, 0.0), lam)
-    d1 = np.where(np.isfinite(d1), d1, 0.0)
-    d2 = np.where(np.isfinite(d2), d2, 0.0)
-
-    def backward(d, p, caps):
-        mult = np.zeros(n)
-        spend = np.cumsum(p * l)
-        tol = 1e-7 * max(1.0, caps[-1])
-        for k in range(n):
-            nxt = d[k + 1] if k + 1 < n else 0.0
-            step = d[k] - nxt
-            # only tight prefixes may carry weight; clip float dust
-            if abs(spend[k] - caps[k]) <= tol:
-                mult[k] = max(step, 0.0)
-            elif step > 0:
-                # gradient drop across a loose constraint: fold it forward
-                if k + 1 < n:
-                    d[k + 1] = d[k]
-        return mult
-
-    c1 = cumulative_energies(profile, SOURCE)
-    c2 = cumulative_energies(profile, RELAY)
-    xi = backward(d1.copy(), alloc.p1, c1)
-    mu = backward(d2.copy(), alloc.p2, c2)
-    vartheta = np.zeros(n)
-    eta = np.zeros(n)
-    return DualVariables(xi=xi, mu=mu, vartheta=vartheta, eta=eta)
-
-
-def _assemble(ch, profile, p1, p2, lam):
-    alloc = Allocation(p1=np.asarray(p1, dtype=float),
-                       p2=np.asarray(p2, dtype=float))
-    lam = np.asarray(lam, dtype=float)
-    total, rates = evaluate_schedule(ch, profile, alloc)
-    l = epoch_lengths(profile)
-    weighted = float(np.sum(l * np.array(
-        [lam[i] * (rates[i].multi_access if rates[i].multi_access is not None else 0.0)
-         + (1.0 - lam[i]) * rates[i].broadcast for i in range(len(l))])))
-    duals = _duals_from_gradients(ch, profile, alloc, lam)
-    kkt = kkt_residual(ch, profile, alloc, duals, lam)
-    return Solution(
-        allocation=alloc,
-        lam=lam,
-        rates=tuple(rates),
-        total_bits=total,
-        duals=duals,
-        kkt=kkt,
-        minmax_gap=abs(weighted - total),
-        iterations=IterationCounters(),
-        converged=True,
-        objective_weighted=weighted,
-    )
 
 
 def solve_proportional(ch, profile, gamma):
@@ -281,7 +213,7 @@ def solve_proportional(ch, profile, gamma):
     p2 = gamma * p1
     relay_assisted = ch.a > 1.0 and (ch.a * ch.a - 1.0) >= gamma
     lam = np.full(profile.n_epochs, 1.0 if relay_assisted else 0.0)
-    return _assemble(ch, profile, p1, p2, lam)
+    return _solution(ch, profile, Allocation(p1=p1, p2=p2), lam)
 
 
 def _single_battery_power(profile, node):
@@ -294,29 +226,33 @@ def _single_battery_power(profile, node):
     return float(e[0] / profile.horizon)
 
 
-def solve_relay_only(ch, profile):
-    """Only the relay harvests; the source spends its single battery flat.
-
-    The relay runs the staircase of its own harvests capped at the
-    saturation power, above which extra relay power cannot raise the rate
-    (excess energy is simply left unused)."""
+def _single_harvester(ch, profile, node):
+    """Only node harvests after t = 0; the other node spends its single
+    battery flat, and node runs the staircase of its own harvests.  The relay
+    staircase is capped at the saturation power, above which extra relay
+    power cannot raise the rate (the excess energy is left unused)."""
     require_valid(profile)
-    P = _single_battery_power(profile, SOURCE)
+    P = _single_battery_power(profile, RELAY if node == SOURCE else SOURCE)
     n = profile.n_epochs
-    p1 = np.full(n, P)
-    psat = relay_saturation_power(ch, P)
-    if psat <= 0.0:
-        p2 = np.zeros(n)
+    cap = relay_saturation_power(ch, P) if node == RELAY else np.inf
+    if cap <= 0.0:
+        p = np.zeros(n)
     else:
         times = list(profile.times) + [profile.horizon]
-        bp = staircase(times, list(profile.e_relay))
-        p2 = np.minimum(np.array(segment_powers(bp, n), dtype=float), psat)
-    branches = [capacity_min(ch, p1[i], p2[i]) for i in range(n)]
-    lam = np.array([1.0 if b.tag == "multi_access_limited" else 0.0
-                    for b in branches])
-    if ch.a <= 1.0:
-        lam[:] = 0.0
-    return _assemble(ch, profile, p1, p2, lam)
+        e = profile.e_source if node == SOURCE else profile.e_relay
+        p = np.minimum(np.array(segment_powers(staircase(times, list(e)), n),
+                                dtype=float), cap)
+    flat = np.full(n, P)
+    p1, p2 = (p, flat) if node == SOURCE else (flat, p)
+    # weight 1 exactly where capacity_min selects the multi-access branch
+    lam = ((ch.a > 1.0) & ((ch.a * ch.a - 1.0) * p1 >= p2)).astype(float)
+    return _solution(ch, profile, Allocation(p1=p1, p2=p2), lam)
+
+
+def solve_relay_only(ch, profile):
+    """Only the relay harvests; the source spends its single battery flat and
+    the relay runs its staircase capped at the saturation power."""
+    return _single_harvester(ch, profile, RELAY)
 
 
 def solve_source_only(ch, profile):
@@ -324,16 +260,4 @@ def solve_source_only(ch, profile):
 
     Both rate branches increase with source power, so the source staircase
     needs no saturation cap."""
-    require_valid(profile)
-    P = _single_battery_power(profile, RELAY)
-    n = profile.n_epochs
-    times = list(profile.times) + [profile.horizon]
-    bp = staircase(times, list(profile.e_source))
-    p1 = np.array(segment_powers(bp, n), dtype=float)
-    p2 = np.full(n, P)
-    branches = [capacity_min(ch, p1[i], p2[i]) for i in range(n)]
-    lam = np.array([1.0 if b.tag == "multi_access_limited" else 0.0
-                    for b in branches])
-    if ch.a <= 1.0:
-        lam[:] = 0.0
-    return _assemble(ch, profile, p1, p2, lam)
+    return _single_harvester(ch, profile, SOURCE)

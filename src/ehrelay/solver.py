@@ -27,7 +27,7 @@ active-face Newton polish); it serves the envelope-convexity checks.
 """
 
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -50,6 +50,9 @@ from .profile import (
 )
 
 FEASIBILITY_RTOL = 1e-9
+# Armijo sufficient-increase slope and backtracking factor of the inner ascent
+ARMIJO_SLOPE = 1e-4
+ARMIJO_SHRINK = 0.5
 
 __all__ = [
     "Allocation",
@@ -62,7 +65,6 @@ __all__ = [
     "evaluate_schedule",
     "project_causality",
     "solve_inner",
-    "solve_outer",
     "solve_minmax",
     "recover_duals",
     "kkt_residual",
@@ -163,7 +165,8 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration caps; all runs are deterministic given these.
+    """Tolerances and iteration caps; every solve is deterministic, so there
+    is no random seed.
 
     tol_inner bounds the KKT residual of a certified schedule and tol_outer
     its min-max gap (certified when the gap is <= 10*tol_outer).
@@ -177,10 +180,6 @@ class SolverConfig:
     tol_outer: float = 1e-5
     max_iter_inner: int = 4000
     max_iter_outer: int = 200
-    armijo_slope: float = 1e-4
-    armijo_shrink: float = 0.5
-    dykstra_tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol_inner <= 0 or self.tol_outer <= 0:
@@ -230,6 +229,12 @@ def evaluate_schedule(ch, profile, alloc):
     violations = feasibility_violations(profile, alloc)
     if violations:
         raise FeasibilityError(violations)
+    return _epoch_rates(ch, l, alloc)
+
+
+def _epoch_rates(ch, l, alloc):
+    """Total bits and per-epoch rate branches, negative powers read as 0;
+    feasibility is not checked."""
     p1 = np.maximum(alloc.p1, 0.0)
     p2 = np.maximum(alloc.p2, 0.0)
     rates = [capacity_min(ch, p1[i], p2[i]) for i in range(len(l))]
@@ -314,8 +319,6 @@ def kkt_residual(ch, profile, alloc, duals, lam):
     Computed from scratch; shares nothing with the solver iterations.
     """
     l = epoch_lengths(profile)
-    n = len(l)
-    M = _prefix_matrix(l)
     lam = np.asarray(lam, dtype=float)
     p1 = alloc.p1
     p2 = alloc.p2
@@ -323,15 +326,16 @@ def kkt_residual(ch, profile, alloc, duals, lam):
     c2 = cumulative_energies(profile, RELAY)
     g1, g2 = _true_gradients(ch, l, lam, p1, p2)
 
-    st1 = g1 - M.T @ duals.xi + duals.vartheta
-    st2 = g2 - M.T @ duals.mu + duals.eta
+    # epoch i pays l_i times the sum of the prefix multipliers k >= i
+    st1 = g1 - l * np.cumsum(duals.xi[::-1])[::-1] + duals.vartheta
+    st2 = g2 - l * np.cumsum(duals.mu[::-1])[::-1] + duals.eta
     keep1 = ~_eliminated(c1)
     keep2 = ~_eliminated(c2)
     stat_terms = np.concatenate([st1[keep1], st2[keep2]])
     stationarity = float(np.max(np.abs(stat_terms))) if stat_terms.size else 0.0
 
-    spend1 = M @ p1
-    spend2 = M @ p2
+    spend1 = np.cumsum(p1 * l)
+    spend2 = np.cumsum(p2 * l)
     slack_products = np.concatenate([
         duals.xi * (spend1 - c1),
         duals.mu * (spend2 - c2),
@@ -359,36 +363,29 @@ def recover_duals(ch, profile, alloc, lam, active_tol=None):
     """
     l = epoch_lengths(profile)
     n = len(l)
-    M = _prefix_matrix(l)
+    idx = np.arange(n)[:, None]
     lam = np.asarray(lam, dtype=float)
+    grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
     out = {}
-    for node, p, names in ((SOURCE, alloc.p1, ("xi", "vartheta")),
-                           (RELAY, alloc.p2, ("mu", "eta"))):
+    for node, p, g, names in ((SOURCE, alloc.p1, grads[0], ("xi", "vartheta")),
+                              (RELAY, alloc.p2, grads[1], ("mu", "eta"))):
         caps = cumulative_energies(profile, node)
-        g1, g2 = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
-        g = g1 if node == SOURCE else g2
         keep = ~_eliminated(caps)
         tol = active_tol if active_tol is not None else 1e-7 * max(1.0, caps[-1])
-        spend = M @ p
+        spend = np.cumsum(p * l)
         act_pref = np.where(np.abs(spend - caps) <= tol)[0]
         p_scale = max(1.0, float(np.max(p)) if p.size else 1.0)
         act_zero = np.where((p <= 1e-9 * p_scale) & keep)[0]
-        cols = []
-        for k in act_pref:
-            cols.append(M.T[:, k])
-        for i in act_zero:
-            e = np.zeros(n)
-            e[i] = -1.0
-            cols.append(e)
+        # prefix k's column holds l_i for i <= k; the bound p_i >= 0 is -e_i
+        A = np.hstack([np.where(idx <= act_pref, l[:, None], 0.0),
+                       np.where(idx == act_zero, -1.0, 0.0)])[keep]
+        b = g[keep]
         prefix_mult = np.zeros(n)
         zero_mult = np.zeros(n)
-        if cols:
-            A = np.column_stack(cols)[keep, :]
-            b = g[keep]
-            if np.all(np.isfinite(b)) and A.size:
-                x, _ = scipy.optimize.nnls(A, b)
-                prefix_mult[act_pref] = x[: len(act_pref)]
-                zero_mult[act_zero] = x[len(act_pref):]
+        if np.all(np.isfinite(b)) and A.size:
+            x, _ = scipy.optimize.nnls(A, b)
+            prefix_mult[act_pref] = x[: len(act_pref)]
+            zero_mult[act_zero] = x[len(act_pref):]
         out[names[0]] = prefix_mult
         out[names[1]] = zero_mult
     return DualVariables(xi=out["xi"], vartheta=out["vartheta"],
@@ -420,11 +417,10 @@ class _InnerProblem:
 
     GRAD_FLOOR = 1e-12
 
-    def __init__(self, ch, profile, lam, cfg):
+    def __init__(self, ch, profile, lam):
         self.ch = ch
         self.profile = profile
         self.lam = np.asarray(lam, dtype=float)
-        self.cfg = cfg
         self.l = epoch_lengths(profile)
         self.n = len(self.l)
         self.M = _prefix_matrix(self.l)
@@ -447,8 +443,8 @@ class _InnerProblem:
         return np.concatenate([self.l * d1, self.l * d2])
 
     def project(self, x):
-        p1 = project_causality(x[: self.n], self.l, self.c1, tol=self.cfg.dykstra_tol)
-        p2 = project_causality(x[self.n:], self.l, self.c2, tol=self.cfg.dykstra_tol)
+        p1 = project_causality(x[: self.n], self.l, self.c1)
+        p2 = project_causality(x[self.n:], self.l, self.c2)
         return np.concatenate([p1, p2])
 
     # constraint rows over the stacked variable x = [p1; p2]
@@ -557,7 +553,7 @@ def _face_newton(prob, x, act_pref, act_zero, max_newton=40):
         while alpha > 1e-16:
             x_try = np.maximum(x + alpha * dx, 0.0)
             f_try = prob.objective(x_try)
-            if f_try >= fx + 1e-4 * alpha * slope or f_try >= fx:
+            if f_try >= fx + ARMIJO_SLOPE * alpha * slope or f_try >= fx:
                 x, fx = x_try, f_try
                 accepted = True
                 break
@@ -597,7 +593,7 @@ def solve_inner(ch, profile, lam, cfg=None, warm=None):
         run_warnings.append(msg)
         _warnings.warn(msg)
 
-    prob = _InnerProblem(ch, profile, lam, cfg)
+    prob = _InnerProblem(ch, profile, lam)
     if warm is not None:
         x0 = prob.project(np.concatenate([np.asarray(warm.p1, dtype=float),
                                           np.asarray(warm.p2, dtype=float)]))
@@ -652,12 +648,12 @@ def _run_ascent(prob, x, cfg):
             x_try = prob.project(x + t * g)
             step = x_try - x
             f_try = prob.objective(x_try)
-            if f_try >= fx + cfg.armijo_slope * float(g @ step) or f_try > fx:
+            if f_try >= fx + ARMIJO_SLOPE * float(g @ step) or f_try > fx:
                 moved = float(np.max(np.abs(step)))
                 x, fx = x_try, f_try
                 t *= 1.6
                 break
-            t *= cfg.armijo_shrink
+            t *= ARMIJO_SHRINK
             if t < 1e-18:
                 break
         stalled = moved <= 1e-13 * prob.scale
@@ -821,14 +817,9 @@ def solve_minmax(ch, profile, cfg=None):
     c2 = cumulative_energies(profile, RELAY)
     lam = np.full(n, 1.0 if ch.a > 1.0 else 0.0)
 
-    def certificate(alloc):
-        duals = recover_duals(ch, profile, alloc, lam)
-        return duals, kkt_residual(ch, profile, alloc, duals, lam)
-
     p1, p2 = _warm_start(profile)
     if ch.a <= 1.0:
-        alloc = Allocation(p1=p1, p2=p2)
-        duals, kkt = certificate(alloc)
+        sol = _solution(ch, profile, Allocation(p1=p1, p2=p2), lam)
         counters = IterationCounters()
     else:
         k = ch.a ** 2 - 1.0
@@ -843,42 +834,51 @@ def solve_minmax(ch, profile, cfg=None):
         x, grads = _concave_program(ch, l, c1, c2,
                                     np.concatenate([p1, np.minimum(p2, k * p1)]),
                                     cfg.max_iter_inner)
-        alloc = repaired(x)
-        duals, kkt = certificate(alloc)
-        if not kkt.certified(cfg.tol_inner):
+        sol = _solution(ch, profile, repaired(x), lam)
+        if not sol.kkt.certified(cfg.tol_inner):
             # SLSQP stops once the objective stalls in its last bit, which
             # can leave the powers about 1e-8 off; Newton steps on the active
             # face of the lambda = 1 program finish them
-            prob = _InnerProblem(ch, profile, lam, cfg)
-            x = _polish_and_certify(prob, np.concatenate([alloc.p1, alloc.p2]),
-                                    cfg)[0]
+            prob = _InnerProblem(ch, profile, lam)
+            x = _polish_and_certify(
+                prob, np.concatenate([sol.allocation.p1, sol.allocation.p2]),
+                cfg)[0]
             grads += prob.grad_calls
-            alloc = repaired(x)
-            duals, kkt = certificate(alloc)
+            sol = _solution(ch, profile, repaired(x), lam)
         counters = IterationCounters(inner_solves=1, inner_gradients=grads)
 
+    return replace(
+        sol, iterations=counters, warnings=tuple(warn),
+        converged=(sol.kkt.certified(cfg.tol_inner)
+                   and sol.minmax_gap <= 10.0 * cfg.tol_outer))
+
+
+def _solution(ch, profile, alloc, lam):
+    """The Solution of a feasible schedule under the weights lam.
+
+    Every solver builds its result here: the rates and total bits, the
+    weighted objective and its min-max gap, the multipliers fitted by
+    :func:`recover_duals` and the certificate of :func:`kkt_residual`.
+    converged is True and the counters are zero; :func:`solve_minmax`
+    replaces them with its own.
+    """
+    lam = np.asarray(lam, dtype=float)
     total, rates = evaluate_schedule(ch, profile, alloc)
-    weighted = float(np.sum(l * weighted_rate(ch, alloc.p1, alloc.p2, lam)))
-    gap = abs(weighted - total)
+    weighted = float(np.sum(epoch_lengths(profile)
+                            * weighted_rate(ch, alloc.p1, alloc.p2, lam)))
+    duals = recover_duals(ch, profile, alloc, lam)
     return Solution(
         allocation=alloc,
         lam=lam,
         rates=tuple(rates),
         total_bits=total,
         duals=duals,
-        kkt=kkt,
-        minmax_gap=gap,
-        iterations=counters,
-        converged=kkt.certified(cfg.tol_inner) and gap <= 10.0 * cfg.tol_outer,
+        kkt=kkt_residual(ch, profile, alloc, duals, lam),
+        minmax_gap=abs(weighted - total),
+        iterations=IterationCounters(),
+        converged=True,
         objective_weighted=weighted,
-        warnings=tuple(warn),
     )
-
-
-def solve_outer(ch, profile, cfg=None):
-    """The weights and the schedule of :func:`solve_minmax`: (lam, Solution)."""
-    sol = solve_minmax(ch, profile, cfg)
-    return sol.lam, sol
 
 
 # ---------------------------------------------------------------------------
@@ -946,10 +946,7 @@ def invariant_report(ch, profile, alloc, stored_rates=None, stored_total=None,
                                    if bad else ""))
 
     if stored_rates is not None or stored_total is not None:
-        p1c = np.maximum(alloc.p1, 0.0)
-        p2c = np.maximum(alloc.p2, 0.0)
-        rates = [capacity_min(ch, p1c[i], p2c[i]) for i in range(len(l))]
-        total = float(sum(r.active * l[i] for i, r in enumerate(rates)))
+        total, rates = _epoch_rates(ch, l, alloc)
         if stored_rates is not None:
             recomputed = np.array([r.active for r in rates])
             stored = np.asarray(stored_rates, dtype=float)

@@ -80,14 +80,30 @@ class TestSolve:
 
     def test_determinism_byte_identical_schedule(self, worked_file):
         path, tmp = worked_file
-        main(["solve", path, "--case", "general", "--seed", "0", "--out", str(tmp)])
+        main(["solve", path, "--case", "general", "--out", str(tmp)])
         first = _read(tmp / "worked_schedule.json")
-        main(["solve", path, "--case", "general", "--seed", "0", "--out", str(tmp)])
+        main(["solve", path, "--case", "general", "--out", str(tmp)])
         second = _read(tmp / "worked_schedule.json")
         s1 = json.dumps(first["schedule"], sort_keys=True)
         s2 = json.dumps(second["schedule"], sort_keys=True)
         assert s1 == s2
         assert first["total_bits"] == second["total_bits"]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{problem}", "--seed", "0"],
+        ["check", "{problem}", "{schedule}", "--tol-inner", "1"],
+        ["check", "{problem}", "{schedule}", "--out", "{tmp}"],
+        ["oracle", "{problem}", "--max-iter", "10"],
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, worked_file,
+                                                           argv):
+        path, tmp = worked_file
+        main(["solve", path, "--out", str(tmp)])
+        names = {"problem": path, "tmp": str(tmp),
+                 "schedule": str(tmp / "worked_schedule.json")}
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**names) for a in argv])
+        assert exc.value.code == 2
 
 
 class TestOracle:
@@ -162,6 +178,27 @@ class TestCheck:
 
 
 class TestPlotdata:
+    @pytest.mark.parametrize("case, e_source, e_relay", [
+        ("proportional", [2, 8, 2], [1, 4, 1]),
+        ("relay-only", [6, 0, 0], [1, 4, 2]),
+        ("source-only", [2, 8, 2], [9, 0, 0]),
+        ("general", [4, 6, 1], [2, 5, 3]),
+    ])
+    def test_steps_match_solve_auto(self, tmp_path, case, e_source, e_relay):
+        prof = make_profile([0, 2, 4], e_source, e_relay, 6.0)
+        path = write_problem(tmp_path / "p.json", CH, prof)
+        assert main(["solve", path, "--out", str(tmp_path)]) == 0
+        solved = _read(tmp_path / "p_schedule.json")
+        assert solved["case"] == case
+        assert main(["plotdata", path, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "p_steps.csv").read_text().strip().split("\n")[1:]
+        steps = [[float(v) for v in row.split(",")[:6]] + row.split(",")[6:]
+                 for row in rows]
+        expected = [[r["t_start"], r["t_end"], r["p1"], r["p2"], r["lambda"],
+                     r["rate_bits"], r["active_branch"]]
+                    for r in solved["schedule"]]
+        assert steps == expected
+
     def test_files_and_tightness(self, worked_file):
         path, tmp = worked_file
         rc = main(["plotdata", path, "--out", str(tmp)])

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from ehrelay import (
     Allocation,
@@ -20,7 +21,6 @@ from ehrelay import (
     recover_duals,
     solve_inner,
     solve_minmax,
-    solve_outer,
     weighted_rate_grad,
 )
 from ehrelay.profile import epoch_lengths
@@ -118,26 +118,29 @@ class TestSolveInner:
 
 
 class TestSolveOuter:
+    """The outer side of the min-max, the weights lam, as solve_minmax
+    returns them with its schedule."""
+
     def test_small_gain_forces_zero_weights(self):
         ch = ChannelParams(a=0.8, b=1.0, noise=1.0)
         prof = make_profile([0, 2], [3, 3], [1, 1], 5.0)
-        lam, sol = solve_outer(ch, prof)
-        assert np.all(lam == 0.0)
+        sol = solve_minmax(ch, prof)
+        assert np.all(sol.lam == 0.0)
         assert sol.converged
 
     def test_relay_limited_single_epoch(self):
         # relay-poor: multi-access bound strictly below broadcast at the
         # optimum, so the weight sits at 1
         prof = make_profile([0], [6], [12], 6.0)
-        lam, sol = solve_outer(CH, prof)
-        assert lam[0] == pytest.approx(1.0, abs=1e-9)
+        sol = solve_minmax(CH, prof)
+        assert sol.lam[0] == pytest.approx(1.0, abs=1e-9)
         assert sol.total_bits == pytest.approx(6.0 * C_2_SQRT3, abs=1e-8)
         assert sol.minmax_gap <= 1e-9
 
     def test_symmetric_epochs_equal_weights(self):
         prof = make_profile([0, 3], [4, 4], [2, 2], 6.0)
-        lam, sol = solve_outer(CH, prof)
-        assert abs(lam[0] - lam[1]) <= 1e-6
+        sol = solve_minmax(CH, prof)
+        assert abs(sol.lam[0] - sol.lam[1]) <= 1e-6
         assert abs(sol.allocation.p1[0] - sol.allocation.p1[1]) <= 1e-6
 
     def test_counters_report_one_slsqp_solve(self, monkeypatch):
@@ -152,8 +155,7 @@ class TestSolveOuter:
 
         monkeypatch.setattr(scipy.optimize, "minimize", counting)
         prof = make_profile([0, 3], [4, 4], [2, 2], 6.0)
-        _, sol = solve_outer(CH, prof)
-        it = sol.iterations
+        it = solve_minmax(CH, prof).iterations
         assert len(njev) == 1
         assert (it.outer, it.inner_solves) == (0, 1)
         assert it.inner_gradients == njev[0] >= 1
@@ -207,6 +209,58 @@ class TestKkt:
         duals = recover_duals(ch, prof, sol.allocation, sol.lam)
         for f in ("xi", "mu", "vartheta", "eta"):
             assert np.all(getattr(duals, f) >= 0)
+
+    @staticmethod
+    def _dense_reference(ch, prof, alloc, lam, duals):
+        """recover_duals and kkt_residual written with the dense K x K prefix
+        matrix: the fitted multipliers, and the three residuals of duals."""
+        l = epoch_lengths(prof)
+        n = len(l)
+        M = np.tril(np.ones((n, n))) * l[None, :]
+        d1, d2 = weighted_rate_grad(ch, alloc.p1, alloc.p2, lam)
+        fit, stat, slack, feas = [], [], [], []
+        for p, g, caps, y, z in (
+                (alloc.p1, l * d1, np.cumsum(prof.e_source), duals.xi, duals.vartheta),
+                (alloc.p2, l * d2, np.cumsum(prof.e_relay), duals.mu, duals.eta)):
+            keep = caps > 0.0
+            spend = M @ p
+            act_pref = np.where(np.abs(spend - caps) <= 1e-7 * max(1.0, caps[-1]))[0]
+            act_zero = np.where((p <= 1e-9 * max(1.0, np.max(p))) & keep)[0]
+            cols = [M[k] for k in act_pref] + [-np.eye(n)[i] for i in act_zero]
+            x = np.zeros(len(cols))
+            if cols and np.any(keep) and np.all(np.isfinite(g[keep])):
+                x = scipy.optimize.nnls(np.column_stack(cols)[keep], g[keep])[0]
+            prefix, zero = np.zeros(n), np.zeros(n)
+            prefix[act_pref] = x[: len(act_pref)]
+            zero[act_zero] = x[len(act_pref):]
+            fit += [prefix, zero]
+            stat.append((g - M.T @ y + z)[keep])
+            slack += [y * (spend - caps), (z * p)[keep]]
+            feas += [spend - caps, -p, -y, -z]
+        xi, vartheta, mu, eta = fit
+
+        def peak(vs):
+            return max([float(np.max(np.abs(v))) for v in vs if v.size] + [0.0])
+
+        residuals = (peak(stat), peak(slack),
+                     max(0.0, *(float(np.max(v)) for v in feas)))
+        return DualVariables(xi=xi, mu=mu, vartheta=vartheta, eta=eta), residuals
+
+    def test_matches_dense_prefix_matrix_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            ch, prof = random_instance(rng, int(rng.integers(0, 6)))
+            sol = solve_minmax(ch, prof)
+            got = recover_duals(ch, prof, sol.allocation, sol.lam)
+            drawn = DualVariables(*rng.uniform(0.0, 1.0, size=(4, prof.n_epochs)))
+            for duals in (got, drawn):
+                fit, want = self._dense_reference(ch, prof, sol.allocation,
+                                                  sol.lam, duals)
+                for f in ("xi", "mu", "vartheta", "eta"):
+                    assert np.array_equal(getattr(got, f), getattr(fit, f))
+                rep = kkt_residual(ch, prof, sol.allocation, duals, sol.lam)
+                assert (rep.stationarity, rep.slackness, rep.feasibility) == \
+                    pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 class TestSolutionProperties:
@@ -334,6 +388,5 @@ class TestModelBoundary:
     def test_b_other_than_one_rejected(self):
         ch = ChannelParams(a=2.0, b=0.75, noise=1.0)
         prof = make_profile([0, 2], [4, 6], [2, 3], 5.0)
-        for solve in (solve_minmax, solve_outer):
-            with pytest.raises(ProfileError, match="b = 1 only"):
-                solve(ch, prof)
+        with pytest.raises(ProfileError, match="b = 1 only"):
+            solve_minmax(ch, prof)
