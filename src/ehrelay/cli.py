@@ -21,6 +21,7 @@ the manifest's wall-clock duration field.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,9 +71,9 @@ def _round_tree(obj):
 
 
 def _write_json(path, payload):
+    text = json.dumps(_round_tree(payload), indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(_round_tree(payload), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _manifest(args, command, outputs, started, overrides):
@@ -299,7 +300,10 @@ def _out_path(args, suffix):
     return os.path.join(outdir, stem + suffix)
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: parsing does not change
+    it and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="ehrelay",
         description="Offline-optimal schedules for an energy-harvesting relay link")
@@ -342,8 +346,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.
+
+    The parser is built on the first call and reused by later calls in the
+    same process, so every call behaves as the first: the same flags, the
+    same errors and SystemExit(2) on a bad argument list.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ProfileFormatError as exc:

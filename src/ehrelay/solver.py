@@ -34,9 +34,12 @@ import scipy.linalg
 import scipy.optimize
 
 from .capacity import (
+    BROADCAST,
     LN2,
+    MULTI_ACCESS,
     BranchUndefinedError,
-    capacity_min,
+    RateBranch,
+    branch_values,
     weighted_rate,
     weighted_rate_grad,
 )
@@ -208,10 +211,9 @@ def feasibility_violations(profile, alloc, rtol=FEASIBILITY_RTOL):
         if np.any(p < -rtol * scale):
             out.append("%s power negative at epoch %d"
                        % (node, int(np.argmin(p)) + 1))
-        for k in range(len(l)):
-            excess = spend[k] - caps[k]
-            if excess > rtol * scale:
-                out.append("%s prefix %d overspent by %.6g J" % (node, k + 1, excess))
+        excess = spend - caps
+        for k in np.flatnonzero(excess > rtol * scale):
+            out.append("%s prefix %d overspent by %.6g J" % (node, k + 1, excess[k]))
     return out
 
 
@@ -234,10 +236,20 @@ def evaluate_schedule(ch, profile, alloc):
 
 def _epoch_rates(ch, l, alloc):
     """Total bits and per-epoch rate branches, negative powers read as 0;
-    feasibility is not checked."""
+    feasibility is not checked.
+
+    One :func:`branch_values` call rates every epoch.  The branch test and
+    the values are those of :func:`capacity_min` epoch by epoch (the
+    multi-access value is None for a < 1), and the total is summed in epoch
+    order, so both match a per-epoch capacity_min loop bit for bit.
+    """
     p1 = np.maximum(alloc.p1, 0.0)
     p2 = np.maximum(alloc.p2, 0.0)
-    rates = [capacity_min(ch, p1[i], p2[i]) for i in range(len(l))]
+    ma, bc = branch_values(ch, p1, p2)
+    ma = [None] * len(l) if ch.a < 1.0 else ma.tolist()
+    use_ma = (ch.a > 1.0) & ((ch.a * ch.a - 1.0) * p1 >= p2)
+    rates = [RateBranch(MULTI_ACCESS if m else BROADCAST, x, y)
+             for m, x, y in zip(use_ma.tolist(), ma, bc.tolist())]
     total = float(sum(r.active * l[i] for i, r in enumerate(rates)))
     return total, rates
 

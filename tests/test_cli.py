@@ -106,6 +106,30 @@ class TestSolve:
         assert exc.value.code == 2
 
 
+class TestOneProcess:
+    def test_commands_in_sequence_share_no_state(self, worked_file):
+        path, tmp = worked_file
+        relay = write_problem(tmp / "relay.json", CH,
+                              make_profile([0, 2, 4], [6, 0, 0], [1, 4, 2], 6.0))
+        first = ["solve", relay, "--case", "relay-only", "--out", str(tmp)]
+
+        def schedule_bytes():
+            text = (tmp / "relay_schedule.json").read_text()
+            return [ln for ln in text.split("\n") if '"duration_s"' not in ln]
+
+        assert main(first) == 0
+        before = schedule_bytes()
+        assert main(["solve", path, "--out", str(tmp)]) == 0
+        assert _read(tmp / "worked_schedule.json")["case"] == "proportional"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--seed", "0"])
+        assert exc.value.code == 2
+        assert main(["oracle", path, "--out", str(tmp)]) == 0
+        assert main(first) == 0
+        assert schedule_bytes() == before
+        assert _read(tmp / "relay_schedule.json")["case"] == "relay-only"
+
+
 class TestOracle:
     def test_corner_incumbent(self, tmp_path):
         prof = make_profile([0], [6], [12], 6.0)

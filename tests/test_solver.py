@@ -20,11 +20,17 @@ from ehrelay import (
     kkt_residual,
     recover_duals,
     solve_inner,
+    capacity_min,
     solve_minmax,
     weighted_rate_grad,
 )
-from ehrelay.profile import epoch_lengths
-from ehrelay.solver import project_causality
+from ehrelay.profile import RELAY, SOURCE, cumulative_energies, epoch_lengths
+from ehrelay.solver import (
+    FEASIBILITY_RTOL,
+    _epoch_rates,
+    feasibility_violations,
+    project_causality,
+)
 from support import make_profile, random_instance, worked_proportional
 
 C_2_SQRT3 = 1.1212327819185368
@@ -52,6 +58,108 @@ class TestEvaluateSchedule:
         with pytest.raises(FeasibilityError) as err:
             evaluate_schedule(CH, prof, alloc)
         assert any("source prefix 1" in v for v in err.value.violations)
+
+
+def _epoch_rates_loop(ch, l, alloc):
+    """Reference: one scalar capacity_min call per epoch."""
+    p1 = np.maximum(alloc.p1, 0.0)
+    p2 = np.maximum(alloc.p2, 0.0)
+    rates = [capacity_min(ch, p1[i], p2[i]) for i in range(len(l))]
+    total = float(sum(r.active * l[i] for i, r in enumerate(rates)))
+    return total, rates
+
+
+def _feasibility_loop(profile, alloc, rtol=FEASIBILITY_RTOL):
+    """Reference: the per-prefix loop of feasibility_violations."""
+    l = epoch_lengths(profile)
+    out = []
+    for node, p in ((SOURCE, alloc.p1), (RELAY, alloc.p2)):
+        caps = cumulative_energies(profile, node)
+        scale = max(1.0, caps[-1])
+        spend = np.cumsum(p * l)
+        if np.any(p < -rtol * scale):
+            out.append("%s power negative at epoch %d"
+                       % (node, int(np.argmin(p)) + 1))
+        for k in range(len(l)):
+            excess = spend[k] - caps[k]
+            if excess > rtol * scale:
+                out.append("%s prefix %d overspent by %.6g J" % (node, k + 1, excess))
+    return out
+
+
+class TestEpochRatesMatchLoop:
+    @staticmethod
+    def _draw(rng, a, n):
+        """Powers mixing zeros, negatives, clamped radicands (p2 > a^2*p1)
+        and points on the branch boundary p2 = (a^2-1)*p1."""
+        p1 = rng.uniform(0.0, 5.0, n)
+        p2 = rng.uniform(0.0, 5.0, n)
+        kind = rng.integers(0, 6, n)
+        p1[kind == 0] = 0.0
+        p2[kind == 1] = 0.0
+        p2[kind == 2] = a * a * p1[kind == 2] * rng.uniform(1.0, 3.0, np.sum(kind == 2))
+        p2[kind == 3] = (a * a - 1.0) * p1[kind == 3]
+        p1[kind == 4] = -rng.uniform(0.0, 2.0, np.sum(kind == 4))
+        p2[kind == 5] = -rng.uniform(0.0, 2.0, np.sum(kind == 5))
+        return p1, p2
+
+    @pytest.mark.parametrize("a", [0.5, 0.93, 1.0, 1.4, 2.7])
+    def test_bit_identical_to_capacity_min_loop(self, a):
+        rng = np.random.default_rng(int(a * 100))
+        for trial in range(150):
+            n = 1 if trial % 5 == 0 else int(rng.integers(2, 9))
+            ch = ChannelParams(a=a, b=1.0, noise=rng.uniform(0.5, 2.0))
+            l = rng.uniform(0.1, 3.0, n)
+            p1, p2 = self._draw(rng, a, n)
+            alloc = Allocation(p1=p1, p2=p2)
+            total, rates = _epoch_rates(ch, l, alloc)
+            want_total, want_rates = _epoch_rates_loop(ch, l, alloc)
+            assert type(total) is float
+            assert total.hex() == want_total.hex()
+            assert len(rates) == len(want_rates) == n
+            for got, want in zip(rates, want_rates):
+                assert (got.tag, got.multi_access, got.broadcast) == \
+                    (want.tag, want.multi_access, want.broadcast)
+                for x, y in ((got.multi_access, want.multi_access),
+                             (got.broadcast, want.broadcast)):
+                    assert type(x) is type(y)
+                    if y is not None:
+                        assert x.hex() == y.hex()
+
+    def test_draws_cover_every_case(self):
+        rng = np.random.default_rng(0)
+        p1, p2 = self._draw(rng, 2.0, 400)
+        assert np.any(p1 == 0.0) and np.any(p2 == 0.0)
+        assert np.any(p1 < 0.0) and np.any(p2 < 0.0)
+        assert np.any((p1 > 0.0) & (p2 > 4.0 * p1))
+        assert np.any((p1 > 0.0) & (p2 == 3.0 * p1))
+
+
+class TestFeasibilityViolationsMatchLoop:
+    def test_same_messages_in_same_order(self):
+        rng = np.random.default_rng(7)
+        seen_empty = seen_prefix = seen_negative = False
+        for trial in range(300):
+            _, prof = random_instance(rng, int(rng.integers(0, 7)))
+            l = epoch_lengths(prof)
+            caps1 = cumulative_energies(prof, SOURCE)
+            caps2 = cumulative_energies(prof, RELAY)
+            mode = trial % 3
+            if mode == 0:  # feasible: a shrunk projection
+                p1 = rng.uniform(0.0, 0.9) * project_causality(
+                    rng.uniform(0.0, 5.0, l.size), l, caps1)
+                p2 = rng.uniform(0.0, 0.9) * project_causality(
+                    rng.uniform(0.0, 5.0, l.size), l, caps2)
+            else:  # infeasible, some powers negative
+                p1 = rng.uniform(-0.5, 6.0, l.size)
+                p2 = rng.uniform(-0.5, 6.0, l.size)
+            alloc = Allocation(p1=p1, p2=p2)
+            got = feasibility_violations(prof, alloc)
+            assert got == _feasibility_loop(prof, alloc)
+            seen_empty |= not got
+            seen_prefix |= any("overspent" in m for m in got)
+            seen_negative |= any("power negative" in m for m in got)
+        assert seen_empty and seen_prefix and seen_negative
 
 
 class TestProjection:
