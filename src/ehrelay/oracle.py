@@ -25,6 +25,7 @@ sweep are scored together and rebuilt from the new point after each
 accepted move.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,7 +171,8 @@ def _pair_sweep(tables, idx1, idx2, block=96):
         evals += len(rows) * len(idx2)
         pre_best = G.argmax(axis=1)
         vals = G[np.arange(len(rows)), pre_best]
-        for r in range(len(rows)):
+        # best_val only grows, so rows at or below it now never beat it
+        for r in np.flatnonzero(vals > best_val + 1e-15):
             if vals[r] > best_val + 1e-15:
                 best_val = vals[r]
                 p = pre_best[r]
@@ -185,6 +187,26 @@ def _pair_sweep(tables, idx1, idx2, block=96):
 def _row_totals(ch, l, p1, p2):
     """Throughput of each schedule row of p1 and p2 (broadcast together)."""
     return np.sum(l * active_rate(ch, p1, p2), axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_layout(n):
+    """The index arrays of one node's sweep over n epochs that depend on n
+    alone, read-only because every call shares them: (slot_col, fixed, pi,
+    pj, sign).  Coordinate i owns the n + 2 candidate slots i*(n+2)...,
+    slot_col holds each slot's coordinate, and fixed[i] marks the slots that
+    exist before the point is known: both steps and the snaps to prefixes
+    k >= i.  Exchange move e moves sign[e] steps of pi[e] from pj[e] to
+    pi[e]."""
+    pi, pj = np.triu_indices(n, 1)
+    layout = (np.repeat(np.arange(n), n + 2),
+              np.concatenate([np.ones((n, 2), bool),
+                              np.triu(np.ones((n, n), bool))], axis=1),
+              np.repeat(pi, 2), np.repeat(pj, 2),
+              np.tile([1.0, -1.0], n * (n - 1) // 2))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def _sweep_moves(x, S, lengths, caps, i0, rest):
@@ -203,29 +225,31 @@ def _sweep_moves(x, S, lengths, caps, i0, rest):
     """
     n = len(x)
     levels = len(S)
+    slot_col, fixed, pi, pj, sign = _sweep_layout(n)
     spend = x * lengths
     tight = (caps - (np.cumsum(spend) - spend[:, None])) / lengths[:, None]
-    start = i0 if rest is None else i0 + 1
-    cand = np.concatenate([np.stack([x + S, x - S], axis=2),
-                           np.broadcast_to(tight, (levels, n, n))], axis=2)
-    keep = np.concatenate([np.ones((n, 2), bool), np.triu(tight >= 0.0)],
-                          axis=1)[start:].ravel()
-    V = cand[:, start:].reshape(levels, -1)[:, keep]
-    col = np.repeat(np.arange(start, n), n + 2)[keep]
+    start = min(i0 if rest is None else i0 + 1, n)
+    cand = np.empty((levels, n - start, n + 2))
+    cand[:, :, 0] = x[start:] + S[:, start:]
+    cand[:, :, 1] = x[start:] - S[:, start:]
+    cand[:, :, 2:] = tight[start:]
+    keep = fixed[start:].copy()
+    keep[:, 2:] &= tight[start:] >= 0.0
+    keep = keep.ravel()
+    V = cand.reshape(levels, -1)[:, keep]
+    col = slot_col[start * (n + 2):][keep]
     if rest is not None:
         V = np.concatenate([np.broadcast_to(rest, (levels, len(rest))), V],
                            axis=1)
         col = np.concatenate([np.full(len(rest), i0), col])
     e0 = max(i0 - n, 0)
-    pi, pj = np.triu_indices(n, 1)
-    pi = np.repeat(pi, 2)[e0:]
-    pj = np.repeat(pj, 2)[e0:]
-    sign = np.tile([1.0, -1.0], n * (n - 1) // 2)[e0:]
+    pi, pj, sign = pi[e0:], pj[e0:], sign[e0:]
     d = sign * S[:, pi] * lengths[pi]  # joules moved from pj to pi
     vi = x[pi] + d / lengths[pi]
     vj = x[pj] - d / lengths[pj]
     m = len(col)
-    Y = np.tile(x, (levels, m + len(pi), 1))
+    Y = np.empty((levels, m + len(pi), n))
+    Y[:] = x
     Y[:, np.arange(m), col] = V
     Y[:, m + np.arange(len(pi)), pi] = vi
     Y[:, m + np.arange(len(pi)), pj] = vj

@@ -24,14 +24,17 @@ min(R_ma, R_bc) from above, a small residual certifies global optimality.
 :func:`solve_inner` maximizes the weighted throughput for arbitrary
 per-epoch weights (projected gradient ascent with Dykstra projections and an
 active-face Newton polish); it serves the envelope-convexity checks.
+
+scipy is imported where it is called, not with this module, so schedule
+evaluation and checks, the grid oracle and the command-line parser run
+without it: scipy.optimize by the first dual fit (every Solution) and the
+first SLSQP solve, scipy.linalg by the first face-Newton polish.
 """
 
 import warnings as _warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .capacity import (
     BROADCAST,
@@ -332,11 +335,17 @@ def kkt_residual(ch, profile, alloc, duals, lam):
     """
     l = epoch_lengths(profile)
     lam = np.asarray(lam, dtype=float)
+    return _kkt_report(profile, l, alloc, duals,
+                       _true_gradients(ch, l, lam, alloc.p1, alloc.p2))
+
+
+def _kkt_report(profile, l, alloc, duals, grads):
+    """:func:`kkt_residual` from the objective gradients grads at alloc."""
     p1 = alloc.p1
     p2 = alloc.p2
     c1 = cumulative_energies(profile, SOURCE)
     c2 = cumulative_energies(profile, RELAY)
-    g1, g2 = _true_gradients(ch, l, lam, p1, p2)
+    g1, g2 = grads
 
     # epoch i pays l_i times the sum of the prefix multipliers k >= i
     st1 = g1 - l * np.cumsum(duals.xi[::-1])[::-1] + duals.vartheta
@@ -371,13 +380,20 @@ def recover_duals(ch, profile, alloc, lam, active_tol=None):
     Only constraints that are active at the primal point receive a
     multiplier (inactive ones keep 0, which makes their slackness products
     vanish identically); within the active set scipy's NNLS minimizes the
-    stationarity residual subject to dual feasibility.
+    stationarity residual subject to dual feasibility.  scipy.optimize is
+    imported by the first fit, not with this module.
     """
     l = epoch_lengths(profile)
+    lam = np.asarray(lam, dtype=float)
+    return _fit_duals(profile, l, alloc,
+                      _true_gradients(ch, l, lam, alloc.p1, alloc.p2),
+                      active_tol)
+
+
+def _fit_duals(profile, l, alloc, grads, active_tol=None):
+    """:func:`recover_duals` from the objective gradients grads at alloc."""
     n = len(l)
     idx = np.arange(n)[:, None]
-    lam = np.asarray(lam, dtype=float)
-    grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
     out = {}
     for node, p, g, names in ((SOURCE, alloc.p1, grads[0], ("xi", "vartheta")),
                               (RELAY, alloc.p2, grads[1], ("mu", "eta"))):
@@ -395,6 +411,7 @@ def recover_duals(ch, profile, alloc, lam, active_tol=None):
         prefix_mult = np.zeros(n)
         zero_mult = np.zeros(n)
         if np.all(np.isfinite(b)) and A.size:
+            import scipy.optimize
             x, _ = scipy.optimize.nnls(A, b)
             prefix_mult[act_pref] = x[: len(act_pref)]
             zero_mult[act_zero] = x[len(act_pref):]
@@ -509,6 +526,7 @@ def _face_newton(prob, x, act_pref, act_zero, max_newton=40):
         e[i] = 1.0
         eqs.append(e)
     if eqs:
+        import scipy.linalg
         Z = scipy.linalg.null_space(np.vstack(eqs))
     else:
         Z = np.eye(n2)
@@ -710,8 +728,17 @@ def _polish_and_certify(prob, x, cfg, max_rounds=14):
 
 def _certify(prob, x):
     alloc = Allocation(p1=x[: prob.n], p2=x[prob.n:])
-    duals = recover_duals(prob.ch, prob.profile, alloc, prob.lam)
-    return duals, kkt_residual(prob.ch, prob.profile, alloc, duals, prob.lam)
+    return _certificate(prob.ch, prob.profile, alloc, prob.lam)
+
+
+def _certificate(ch, profile, alloc, lam):
+    """(duals, KktReport) of alloc under the float weights lam, as
+    :func:`recover_duals` and :func:`kkt_residual` give them, from one
+    gradient evaluation."""
+    l = epoch_lengths(profile)
+    grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
+    duals = _fit_duals(profile, l, alloc, grads)
+    return duals, _kkt_report(profile, l, alloc, duals, grads)
 
 
 def _release_step(prob, x):
@@ -790,6 +817,7 @@ def _concave_program(ch, l, c1, c2, x0, max_iter):
     Z = np.zeros((n, n))
     A = np.block([[P, Z], [Z, P], [-k * np.eye(n), np.eye(n)]])[:, free]
     caps = np.concatenate([c1, c2, np.zeros(n)])
+    import scipy.optimize
     res = scipy.optimize.minimize(
         f, x[free], jac=grad, method="SLSQP",
         bounds=[(0.0, None)] * int(np.sum(free)),
@@ -869,23 +897,23 @@ def _solution(ch, profile, alloc, lam):
     """The Solution of a feasible schedule under the weights lam.
 
     Every solver builds its result here: the rates and total bits, the
-    weighted objective and its min-max gap, the multipliers fitted by
-    :func:`recover_duals` and the certificate of :func:`kkt_residual`.
-    converged is True and the counters are zero; :func:`solve_minmax`
-    replaces them with its own.
+    weighted objective and its min-max gap, the multipliers fitted as by
+    :func:`recover_duals` and the certificate of :func:`kkt_residual`, both
+    from one gradient evaluation.  converged is True and the counters are
+    zero; :func:`solve_minmax` replaces them with its own.
     """
     lam = np.asarray(lam, dtype=float)
     total, rates = evaluate_schedule(ch, profile, alloc)
     weighted = float(np.sum(epoch_lengths(profile)
                             * weighted_rate(ch, alloc.p1, alloc.p2, lam)))
-    duals = recover_duals(ch, profile, alloc, lam)
+    duals, kkt = _certificate(ch, profile, alloc, lam)
     return Solution(
         allocation=alloc,
         lam=lam,
         rates=tuple(rates),
         total_bits=total,
         duals=duals,
-        kkt=kkt_residual(ch, profile, alloc, duals, lam),
+        kkt=kkt,
         minmax_gap=abs(weighted - total),
         iterations=IterationCounters(),
         converged=True,
