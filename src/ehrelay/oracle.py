@@ -193,11 +193,10 @@ def _row_totals(ch, l, p1, p2):
 def _sweep_layout(n):
     """The index arrays of one node's sweep over n epochs that depend on n
     alone, read-only because every call shares them: (slot_col, fixed, pi,
-    pj, sign).  Coordinate i owns the n + 2 candidate slots i*(n+2)...,
-    slot_col holds each slot's coordinate, and fixed[i] marks the slots that
-    exist before the point is known: both steps and the snaps to prefixes
-    k >= i.  Exchange move e moves sign[e] steps of pi[e] from pj[e] to
-    pi[e]."""
+    pj, sign).  Coordinate i owns n + 2 candidate slots; slot_col holds each
+    slot's coordinate and fixed[i] marks the slots that exist whatever the
+    point: both steps and the snaps to prefixes k >= i.  Exchange move e
+    shifts sign[e] times one step of pi[e] from pj[e] to pi[e]."""
     pi, pj = np.triu_indices(n, 1)
     layout = (np.repeat(np.arange(n), n + 2),
               np.concatenate([np.ones((n, 2), bool),
