@@ -145,6 +145,19 @@ def _multi_access_snr(ch, p1, p2):
     return np.where(p1 > 0.0, snr, 0.0)
 
 
+def _branch_rates(ch, p1, p2):
+    """(multi_access, broadcast) rates of finite nonnegative powers, unchecked.
+
+    multi_access is None for a < 1, where it is undefined, and when p2 is
+    None.  Every public rate function evaluates its bounds here after its
+    own argument checks.
+    """
+    bc = 0.5 * np.log2(1.0 + max(1.0, ch.a * ch.a) * p1 / ch.noise)
+    if ch.a < 1.0 or p2 is None:
+        return None, bc
+    return 0.5 * np.log2(1.0 + _multi_access_snr(ch, p1, p2)), bc
+
+
 def rate_multi_access(ch, p1, p2):
     """Multi-access cut bound in bits/s.
 
@@ -156,25 +169,24 @@ def rate_multi_access(ch, p1, p2):
             "multi-access bound undefined for a=%g < 1" % ch.a)
     p1 = _as_power(p1, "p1")
     p2 = _as_power(p2, "p2")
-    snr = _multi_access_snr(ch, p1, p2)
-    out = 0.5 * np.log2(1.0 + snr)
-    return _maybe_scalar(out, p1, p2)
+    return _maybe_scalar(_branch_rates(ch, p1, p2)[0], p1, p2)
 
 
 def rate_broadcast(ch, p1):
     """Broadcast cut bound C(max(1, a^2)*p1/N) in bits/s."""
     p1 = _as_power(p1, "p1")
-    q = max(1.0, ch.a * ch.a)
-    out = 0.5 * np.log2(1.0 + q * p1 / ch.noise)
-    return _maybe_scalar(out, p1)
+    return _maybe_scalar(_branch_rates(ch, p1, None)[1], p1)
 
 
 def branch_values(ch, p1, p2):
     """Vectorized (multi_access, broadcast) values; multi_access is NaN for a < 1."""
-    bc = rate_broadcast(ch, p1)
     if ch.a < 1.0:
+        bc = rate_broadcast(ch, p1)
         return np.full_like(np.asarray(bc, dtype=float), np.nan), bc
-    return rate_multi_access(ch, p1, p2), bc
+    p1a = _as_power(p1, "p1")
+    p2a = _as_power(p2, "p2")
+    ma, bc = _branch_rates(ch, p1a, p2a)
+    return _maybe_scalar(ma, p1a, p2a), _maybe_scalar(bc, p1a)
 
 
 def capacity_min(ch, p1, p2):
@@ -186,23 +198,37 @@ def capacity_min(ch, p1, p2):
     """
     p1 = float(_as_power(p1, "p1"))
     p2 = float(_as_power(p2, "p2"))
-    bc = rate_broadcast(ch, p1)
-    ma = None if ch.a < 1.0 else rate_multi_access(ch, p1, p2)
+    ma, bc = _branch_rates(ch, p1, p2)
+    ma = None if ma is None else float(ma)
     if ch.a > 1.0 and (ch.a * ch.a - 1.0) * p1 >= p2:
-        return RateBranch(MULTI_ACCESS, ma, bc)
-    return RateBranch(BROADCAST, ma, bc)
+        return RateBranch(MULTI_ACCESS, ma, float(bc))
+    return RateBranch(BROADCAST, ma, float(bc))
 
 
 def active_rate(ch, p1, p2):
     """Vectorized active cut bound (the rate actually achieved)."""
     p1a = _as_power(p1, "p1")
     p2a = _as_power(p2, "p2")
-    bc = 0.5 * np.log2(1.0 + max(1.0, ch.a * ch.a) * p1a / ch.noise)
     if ch.a <= 1.0:
+        bc = _branch_rates(ch, p1a, None)[1]
         return _maybe_scalar(np.broadcast_arrays(bc + 0.0 * p2a)[0], p1, p2)
-    ma = 0.5 * np.log2(1.0 + _multi_access_snr(ch, p1a, p2a))
+    ma, bc = _branch_rates(ch, p1a, p2a)
     cond = (ch.a * ch.a - 1.0) * p1a >= p2a
     return _maybe_scalar(np.where(cond, ma, bc), p1, p2)
+
+
+def _weighted_args(ch, p1, p2, lam):
+    """The argument checks of :func:`weighted_rate`: (p1, p2, lam) as float
+    arrays, p2 unchecked for a <= 1, where the broadcast bound ignores it."""
+    lam_arr = np.asarray(lam, dtype=float)
+    if np.any(lam_arr < 0.0) or np.any(lam_arr > 1.0) or not np.all(np.isfinite(lam_arr)):
+        raise ValueError("lam must lie in [0, 1]")
+    if ch.a <= 1.0:
+        if np.any(lam_arr > 0.0):
+            raise BranchUndefinedError(
+                "lam > 0 requires a > 1 (multi-access bound undefined)")
+        return _as_power(p1, "p1"), None, lam_arr
+    return _as_power(p1, "p1"), _as_power(p2, "p2"), lam_arr
 
 
 def weighted_rate(ch, p1, p2, lam):
@@ -211,18 +237,11 @@ def weighted_rate(ch, p1, p2, lam):
     lam > 0 with a <= 1 is rejected: there the multi-access branch plays no
     role and schedules must place all weight on the broadcast bound.
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr < 0.0) or np.any(lam_arr > 1.0) or not np.all(np.isfinite(lam_arr)):
-        raise ValueError("lam must lie in [0, 1]")
-    if ch.a <= 1.0:
-        if np.any(lam_arr > 0.0):
-            raise BranchUndefinedError(
-                "lam > 0 requires a > 1 (multi-access bound undefined)")
-        return rate_broadcast(ch, p1)
-    ma = rate_multi_access(ch, p1, p2)
-    bc = rate_broadcast(ch, p1)
-    out = lam_arr * ma + (1.0 - lam_arr) * bc
-    return _maybe_scalar(out, p1, p2, lam)
+    p1a, p2a, lam_arr = _weighted_args(ch, p1, p2, lam)
+    ma, bc = _branch_rates(ch, p1a, p2a)
+    if ma is None:
+        return _maybe_scalar(bc, p1)
+    return _maybe_scalar(lam_arr * ma + (1.0 - lam_arr) * bc, p1, p2, lam)
 
 
 def _multi_access_grad(ch, p1, p2):

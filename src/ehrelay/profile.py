@@ -18,6 +18,7 @@ Problem files are JSON::
 Times are seconds, energies joules.
 """
 
+import functools
 import io
 import json
 import math
@@ -109,6 +110,11 @@ class HarvestProfile:
     def e_relay(self):
         return np.array([ev.e_relay for ev in self.events], dtype=float)
 
+    @functools.cached_property
+    def _violations(self):
+        # events and horizon are frozen, so the check runs once per profile
+        return tuple(_check_invariants(self))
+
 
 @dataclass(frozen=True)
 class Epoch:
@@ -129,7 +135,14 @@ DEGENERACY_MESSAGES = (_NO_SOURCE_ENERGY, _NO_RELAY_ENERGY)
 
 
 def validate(profile):
-    """Return the full list of invariant violations (empty list when valid)."""
+    """Return the full list of invariant violations (empty list when valid).
+
+    The check runs once per profile; every call returns a fresh list.
+    """
+    return list(profile._violations)
+
+
+def _check_invariants(profile):
     errs = []
     evs = profile.events
     if len(evs) == 0:

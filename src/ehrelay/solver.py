@@ -9,8 +9,11 @@ dR_ma/dp2 = 0.  The optimal schedule therefore maximizes the concave program
 
 over the two energy-causality polytopes (one per node: every prefix of the
 consumed energy stays below the harvested prefix, powers are nonnegative)
-and the cone p2 <= (a^2-1)*p1.  :func:`solve_minmax` solves it with SLSQP
-and repairs the result exactly onto the feasible set.  If a <= 1 the rate is
+and the cone p2 <= (a^2-1)*p1.  :func:`solve_minmax` first repairs the
+per-node staircase start exactly onto the feasible set and returns it when
+the certificate below accepts it at tol_inner; proportional harvests and
+many others need nothing more.  Otherwise it solves the program with SLSQP
+from that start and repairs the result the same way.  If a <= 1 the rate is
 R_bc(p1) alone and the source staircase is exact.
 
 The weights of the min-max form are lambda_i = 1 on every epoch (a > 1) or
@@ -42,6 +45,8 @@ from .capacity import (
     MULTI_ACCESS,
     BranchUndefinedError,
     RateBranch,
+    _branch_rates,
+    _weighted_args,
     branch_values,
     weighted_rate,
     weighted_rate_grad,
@@ -143,6 +148,12 @@ class KktReport:
 
 @dataclass(frozen=True)
 class IterationCounters:
+    """What :func:`solve_minmax` ran.  inner_solves is 1 when SLSQP ran and 0
+    when the staircase start certified (always for a <= 1); inner_gradients
+    counts the gradient evaluations of SLSQP and of the face-Newton polish.
+    outer is always 0: b = 1 solves need no outer weight loop.  Closed forms
+    report all zeros."""
+
     outer: int = 0
     inner_solves: int = 0
     inner_gradients: int = 0
@@ -203,21 +214,52 @@ def _prefix_matrix(lengths):
     return np.tril(np.ones((n, n))) * lengths[None, :]
 
 
+def _caps(profile):
+    """Cumulative harvests (c1, c2) of source and relay, prefix k = 1..K+1."""
+    return (cumulative_energies(profile, SOURCE),
+            cumulative_energies(profile, RELAY))
+
+
+def _spends(alloc, l):
+    """Cumulative energy spent by source and relay, prefix k = 1..K+1."""
+    return np.cumsum(alloc.p1 * l), np.cumsum(alloc.p2 * l)
+
+
 def feasibility_violations(profile, alloc, rtol=FEASIBILITY_RTOL):
     """Human-readable list of violated prefix constraints (empty if feasible)."""
-    l = epoch_lengths(profile)
+    return _violations(alloc, _caps(profile),
+                       _spends(alloc, epoch_lengths(profile)), rtol)
+
+
+def _violations(alloc, caps, spends, rtol=FEASIBILITY_RTOL):
+    """:func:`feasibility_violations` from the caps and spends of alloc."""
     out = []
-    for node, p in ((SOURCE, alloc.p1), (RELAY, alloc.p2)):
-        caps = cumulative_energies(profile, node)
-        scale = max(1.0, caps[-1])
-        spend = np.cumsum(p * l)
+    for node, p, c, spend in zip((SOURCE, RELAY), (alloc.p1, alloc.p2),
+                                 caps, spends):
+        scale = max(1.0, c[-1])
         if np.any(p < -rtol * scale):
             out.append("%s power negative at epoch %d"
                        % (node, int(np.argmin(p)) + 1))
-        excess = spend - caps
+        excess = spend - c
         for k in np.flatnonzero(excess > rtol * scale):
             out.append("%s prefix %d overspent by %.6g J" % (node, k + 1, excess[k]))
     return out
+
+
+def _feasible(profile, alloc):
+    """(epoch lengths, caps, spends) of alloc once the profile is valid and
+    alloc feasible; FeasibilityError lists every violated prefix."""
+    require_valid(profile, allow_degenerate=True)
+    l = epoch_lengths(profile)
+    if alloc.p1.shape != l.shape:
+        raise ValueError("allocation has %d epochs, profile has %d"
+                         % (alloc.p1.size, l.size))
+    caps = _caps(profile)
+    spends = _spends(alloc, l)
+    violations = _violations(alloc, caps, spends)
+    if violations:
+        raise FeasibilityError(violations)
+    return l, caps, spends
 
 
 def evaluate_schedule(ch, profile, alloc):
@@ -226,15 +268,7 @@ def evaluate_schedule(ch, profile, alloc):
     total_bits = sum_i active_rate(p1_i, p2_i) * l_i.  Infeasible allocations
     raise FeasibilityError listing every violated prefix.
     """
-    require_valid(profile, allow_degenerate=True)
-    l = epoch_lengths(profile)
-    if alloc.p1.shape != l.shape:
-        raise ValueError("allocation has %d epochs, profile has %d"
-                         % (alloc.p1.size, l.size))
-    violations = feasibility_violations(profile, alloc)
-    if violations:
-        raise FeasibilityError(violations)
-    return _epoch_rates(ch, l, alloc)
+    return _epoch_rates(ch, _feasible(profile, alloc)[0], alloc)
 
 
 def _epoch_rates(ch, l, alloc):
@@ -248,7 +282,12 @@ def _epoch_rates(ch, l, alloc):
     """
     p1 = np.maximum(alloc.p1, 0.0)
     p2 = np.maximum(alloc.p2, 0.0)
-    ma, bc = branch_values(ch, p1, p2)
+    return _tally(ch, l, p1, p2, *branch_values(ch, p1, p2))
+
+
+def _tally(ch, l, p1, p2, ma, bc):
+    """(total bits, per-epoch RateBranch list) from the branch values ma and
+    bc of the nonnegative powers p1, p2; ma is ignored for a < 1."""
     ma = [None] * len(l) if ch.a < 1.0 else ma.tolist()
     use_ma = (ch.a > 1.0) & ((ch.a * ch.a - 1.0) * p1 >= p2)
     rates = [RateBranch(MULTI_ACCESS if m else BROADCAST, x, y)
@@ -335,16 +374,17 @@ def kkt_residual(ch, profile, alloc, duals, lam):
     """
     l = epoch_lengths(profile)
     lam = np.asarray(lam, dtype=float)
-    return _kkt_report(profile, l, alloc, duals,
+    return _kkt_report(l, alloc, _caps(profile), _spends(alloc, l), duals,
                        _true_gradients(ch, l, lam, alloc.p1, alloc.p2))
 
 
-def _kkt_report(profile, l, alloc, duals, grads):
-    """:func:`kkt_residual` from the objective gradients grads at alloc."""
+def _kkt_report(l, alloc, caps, spends, duals, grads):
+    """:func:`kkt_residual` from the caps, spends and objective gradients
+    grads of alloc."""
     p1 = alloc.p1
     p2 = alloc.p2
-    c1 = cumulative_energies(profile, SOURCE)
-    c2 = cumulative_energies(profile, RELAY)
+    c1, c2 = caps
+    spend1, spend2 = spends
     g1, g2 = grads
 
     # epoch i pays l_i times the sum of the prefix multipliers k >= i
@@ -355,8 +395,6 @@ def _kkt_report(profile, l, alloc, duals, grads):
     stat_terms = np.concatenate([st1[keep1], st2[keep2]])
     stationarity = float(np.max(np.abs(stat_terms))) if stat_terms.size else 0.0
 
-    spend1 = np.cumsum(p1 * l)
-    spend2 = np.cumsum(p2 * l)
     slack_products = np.concatenate([
         duals.xi * (spend1 - c1),
         duals.mu * (spend2 - c2),
@@ -385,23 +423,22 @@ def recover_duals(ch, profile, alloc, lam, active_tol=None):
     """
     l = epoch_lengths(profile)
     lam = np.asarray(lam, dtype=float)
-    return _fit_duals(profile, l, alloc,
+    return _fit_duals(l, alloc, _caps(profile), _spends(alloc, l),
                       _true_gradients(ch, l, lam, alloc.p1, alloc.p2),
                       active_tol)
 
 
-def _fit_duals(profile, l, alloc, grads, active_tol=None):
-    """:func:`recover_duals` from the objective gradients grads at alloc."""
+def _fit_duals(l, alloc, caps, spends, grads, active_tol=None):
+    """:func:`recover_duals` from the caps, spends and objective gradients
+    grads of alloc."""
     n = len(l)
     idx = np.arange(n)[:, None]
     out = {}
-    for node, p, g, names in ((SOURCE, alloc.p1, grads[0], ("xi", "vartheta")),
-                              (RELAY, alloc.p2, grads[1], ("mu", "eta"))):
-        caps = cumulative_energies(profile, node)
-        keep = ~_eliminated(caps)
-        tol = active_tol if active_tol is not None else 1e-7 * max(1.0, caps[-1])
-        spend = np.cumsum(p * l)
-        act_pref = np.where(np.abs(spend - caps) <= tol)[0]
+    for c, spend, p, g, names in zip(caps, spends, (alloc.p1, alloc.p2), grads,
+                                     (("xi", "vartheta"), ("mu", "eta"))):
+        keep = ~_eliminated(c)
+        tol = active_tol if active_tol is not None else 1e-7 * max(1.0, c[-1])
+        act_pref = np.where(np.abs(spend - c) <= tol)[0]
         p_scale = max(1.0, float(np.max(p)) if p.size else 1.0)
         act_zero = np.where((p <= 1e-9 * p_scale) & keep)[0]
         # prefix k's column holds l_i for i <= k; the bound p_i >= 0 is -e_i
@@ -453,8 +490,7 @@ class _InnerProblem:
         self.l = epoch_lengths(profile)
         self.n = len(self.l)
         self.M = _prefix_matrix(self.l)
-        self.c1 = cumulative_energies(profile, SOURCE)
-        self.c2 = cumulative_energies(profile, RELAY)
+        self.c1, self.c2 = _caps(profile)
         self.scale = max(1.0, float(self.c1[-1]), float(self.c2[-1]))
         self.grad_calls = 0
 
@@ -728,17 +764,17 @@ def _polish_and_certify(prob, x, cfg, max_rounds=14):
 
 def _certify(prob, x):
     alloc = Allocation(p1=x[: prob.n], p2=x[prob.n:])
-    return _certificate(prob.ch, prob.profile, alloc, prob.lam)
+    return _certificate(prob.ch, prob.l, alloc, prob.lam, (prob.c1, prob.c2),
+                        _spends(alloc, prob.l))
 
 
-def _certificate(ch, profile, alloc, lam):
+def _certificate(ch, l, alloc, lam, caps, spends):
     """(duals, KktReport) of alloc under the float weights lam, as
     :func:`recover_duals` and :func:`kkt_residual` give them, from one
-    gradient evaluation."""
-    l = epoch_lengths(profile)
+    gradient evaluation and the caps and spends of alloc."""
     grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
-    duals = _fit_duals(profile, l, alloc, grads)
-    return duals, _kkt_report(profile, l, alloc, duals, grads)
+    duals = _fit_duals(l, alloc, caps, spends, grads)
+    return duals, _kkt_report(l, alloc, caps, spends, duals, grads)
 
 
 def _release_step(prob, x):
@@ -830,15 +866,20 @@ def _concave_program(ch, l, c1, c2, x0, max_iter):
 def solve_minmax(ch, profile, cfg=None):
     """Optimal b = 1 schedule with its weights, duals and KKT certificate.
 
-    For a > 1 the concave program (module docstring) is solved by SLSQP from
-    the staircase warm start, then repaired exactly: powers clipped at 0,
-    each node projected onto its causality polytope and p2 lowered onto the
-    cone.  If that point does not certify, an active-face Newton polish
-    refines it and the repair is applied again.  For a <= 1 the source
-    staircase is exact and the relay keeps its own staircase.  converged is
+    The staircase warm start is certified first.  For a <= 1 it is exact:
+    the source staircase maximizes R_bc(p1) and the relay keeps its own
+    staircase.  For a > 1 it is repaired exactly (powers clipped at 0, each
+    node projected onto its causality polytope, p2 lowered onto the cone)
+    and returned as it is when the independent certificate accepts it at
+    tol_inner, so a loose tol_inner accepts the start as soon as it
+    certifies at that tolerance.  Otherwise the concave program (module
+    docstring) is solved by SLSQP from the start and the result repaired
+    the same way; if that point does not certify either, an active-face
+    Newton polish refines it and the repair is applied again.  converged is
     set by the independent certificate alone (KKT residual <= tol_inner and
-    minmax_gap <= 10*tol_outer), whatever the optimizer reported.  b != 1 raises ProfileError: the reduction and the
-    certificate hold only for b = 1.
+    minmax_gap <= 10*tol_outer), whatever the optimizer reported.  b != 1
+    raises ProfileError: the reduction and the certificate hold only for
+    b = 1.
     """
     cfg = cfg or SolverConfig()
     if ch.b != 1.0:
@@ -853,27 +894,27 @@ def solve_minmax(ch, profile, cfg=None):
         _warnings.warn(warn[0])
     l = epoch_lengths(profile)
     n = profile.n_epochs
-    c1 = cumulative_energies(profile, SOURCE)
-    c2 = cumulative_energies(profile, RELAY)
+    c1, c2 = _caps(profile)
     lam = np.full(n, 1.0 if ch.a > 1.0 else 0.0)
+    k = ch.a ** 2 - 1.0
+
+    def repaired(x):
+        q1 = project_causality(np.maximum(x[:n], 0.0), l, c1)
+        # projection only lowers powers, so p2 stays on the cone
+        q2 = project_causality(np.minimum(np.maximum(x[n:], 0.0), k * q1),
+                               l, c2)
+        return Allocation(p1=q1, p2=q2)
 
     p1, p2 = _warm_start(profile)
-    if ch.a <= 1.0:
-        sol = _solution(ch, profile, Allocation(p1=p1, p2=p2), lam)
-        counters = IterationCounters()
+    if ch.a > 1.0:
+        x0 = np.concatenate([p1, np.minimum(p2, k * p1)])
+        start = repaired(x0)
     else:
-        k = ch.a ** 2 - 1.0
-
-        def repaired(x):
-            q1 = project_causality(np.maximum(x[:n], 0.0), l, c1)
-            # projection only lowers powers, so p2 stays on the cone
-            q2 = project_causality(np.minimum(np.maximum(x[n:], 0.0), k * q1),
-                                   l, c2)
-            return Allocation(p1=q1, p2=q2)
-
-        x, grads = _concave_program(ch, l, c1, c2,
-                                    np.concatenate([p1, np.minimum(p2, k * p1)]),
-                                    cfg.max_iter_inner)
+        start = Allocation(p1=p1, p2=p2)
+    sol = _solution(ch, profile, start, lam)
+    counters = IterationCounters()
+    if ch.a > 1.0 and not sol.kkt.certified(cfg.tol_inner):
+        x, grads = _concave_program(ch, l, c1, c2, x0, cfg.max_iter_inner)
         sol = _solution(ch, profile, repaired(x), lam)
         if not sol.kkt.certified(cfg.tol_inner):
             # SLSQP stops once the objective stalls in its last bit, which
@@ -896,17 +937,27 @@ def solve_minmax(ch, profile, cfg=None):
 def _solution(ch, profile, alloc, lam):
     """The Solution of a feasible schedule under the weights lam.
 
-    Every solver builds its result here: the rates and total bits, the
-    weighted objective and its min-max gap, the multipliers fitted as by
-    :func:`recover_duals` and the certificate of :func:`kkt_residual`, both
-    from one gradient evaluation.  converged is True and the counters are
-    zero; :func:`solve_minmax` replaces them with its own.
+    Every solver builds its result here, in one pass: the profile is
+    validated once, feasibility is checked once (infeasible allocations
+    raise FeasibilityError, as :func:`evaluate_schedule` does), the powers
+    and weights are checked as :func:`weighted_rate` checks them, and one
+    rate evaluation gives the per-epoch rates, the total bits and the
+    weighted objective with its min-max gap.  The multipliers fitted as by
+    :func:`recover_duals` and the certificate of :func:`kkt_residual` come
+    from one gradient evaluation and the same caps and spends.  converged
+    is True and the counters are zero; :func:`solve_minmax` replaces them
+    with its own.
     """
     lam = np.asarray(lam, dtype=float)
-    total, rates = evaluate_schedule(ch, profile, alloc)
-    weighted = float(np.sum(epoch_lengths(profile)
-                            * weighted_rate(ch, alloc.p1, alloc.p2, lam)))
-    duals, kkt = _certificate(ch, profile, alloc, lam)
+    l, caps, spends = _feasible(profile, alloc)
+    _weighted_args(ch, alloc.p1, alloc.p2, lam)
+    p1 = np.maximum(alloc.p1, 0.0)
+    p2 = np.maximum(alloc.p2, 0.0)
+    ma, bc = _branch_rates(ch, p1, p2)
+    total, rates = _tally(ch, l, p1, p2, ma, bc)
+    weighted = float(np.sum(l * (bc if ch.a <= 1.0
+                                 else lam * ma + (1.0 - lam) * bc)))
+    duals, kkt = _certificate(ch, l, alloc, lam, caps, spends)
     return Solution(
         allocation=alloc,
         lam=lam,

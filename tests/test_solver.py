@@ -1,6 +1,7 @@
 """Solver tests: schedule evaluation, inner/outer solves, KKT certification,
 structural properties."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,24 +15,35 @@ from ehrelay import (
     DualVariables,
     FeasibilityError,
     ProfileError,
+    Solution,
     SolverConfig,
     evaluate_schedule,
     invariant_report,
     kkt_residual,
+    proportionality,
     recover_duals,
     solve_inner,
     capacity_min,
     solve_minmax,
+    solve_proportional,
+    weighted_rate,
     weighted_rate_grad,
 )
 from ehrelay.profile import RELAY, SOURCE, cumulative_energies, epoch_lengths
 from ehrelay.solver import (
     FEASIBILITY_RTOL,
+    IterationCounters,
     _epoch_rates,
+    _solution,
     feasibility_violations,
     project_causality,
 )
-from support import make_profile, random_instance, worked_proportional
+from support import (
+    make_profile,
+    random_instance,
+    random_proportional_instance,
+    worked_proportional,
+)
 
 C_2_SQRT3 = 1.1212327819185368
 C_4 = 1.160964047443681
@@ -162,6 +174,105 @@ class TestFeasibilityViolationsMatchLoop:
         assert seen_empty and seen_prefix and seen_negative
 
 
+def _solution_reference(ch, profile, alloc, lam):
+    """Reference: the Solution as the public functions compose it."""
+    lam = np.asarray(lam, dtype=float)
+    total, rates = evaluate_schedule(ch, profile, alloc)
+    weighted = float(np.sum(epoch_lengths(profile)
+                            * weighted_rate(ch, alloc.p1, alloc.p2, lam)))
+    duals = recover_duals(ch, profile, alloc, lam)
+    return Solution(allocation=alloc, lam=lam, rates=tuple(rates),
+                    total_bits=total, duals=duals,
+                    kkt=kkt_residual(ch, profile, alloc, duals, lam),
+                    minmax_gap=abs(weighted - total),
+                    iterations=IterationCounters(), converged=True,
+                    objective_weighted=weighted)
+
+
+def _bytes(value):
+    """A canonical byte form of a Solution field: floats by their bits."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bytes(getattr(value, f.name))
+                     for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bytes(v) for v in value)
+    if isinstance(value, (float, np.floating, np.ndarray)):
+        arr = np.asarray(value)
+        return type(value).__name__, arr.dtype.str, arr.shape, arr.tobytes()
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return _bytes(fn(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestSolutionOnePass:
+    """_solution builds in one pass what the public functions build in four."""
+
+    @staticmethod
+    def _draw(rng, a):
+        n = 1 if rng.random() < 0.2 else int(rng.integers(2, 7))
+        ch = ChannelParams(a=a, b=1.0, noise=rng.uniform(0.5, 2.0))
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 3.0, n - 1))])
+        e = rng.uniform(0.5, 8.0, (2, n)) * (rng.random((2, n)) < 0.75)
+        if rng.random() < 0.3:  # a zero-cap epoch
+            e[int(rng.integers(0, 2)), 0] = 0.0
+        prof = make_profile(times, e[0], e[1], times[-1] + rng.uniform(0.5, 3.0))
+        l = epoch_lengths(prof)
+        p = []
+        for c in (cumulative_energies(prof, SOURCE), cumulative_energies(prof, RELAY)):
+            # spend a random share of what is left, some epochs nothing
+            share = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+            q, spent = np.zeros(n), 0.0
+            for i in range(n):
+                q[i] = share[i] * (c[i] - spent) / l[i]
+                spent += q[i] * l[i]
+            p.append(q)
+        p1, p2 = p
+        if a > 1.0:  # clamped radicands: p2 > a^2*p1
+            clamp = rng.random(n) < 0.3
+            p1[clamp] = np.minimum(p1[clamp], p2[clamp] / (a * a) * 0.5)
+        lam = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7) if a > 1.0 \
+            else np.zeros(n)
+        return ch, prof, p1, p2, lam
+
+    @pytest.mark.parametrize("a", [0.5, 0.93, 1.0, 1.4, 2.7])
+    def test_byte_equal_to_public_composition(self, a):
+        rng = np.random.default_rng(int(a * 1000))
+        seen = dict(zero=False, clamped=False, zero_cap=False, single=False)
+        for _ in range(120):
+            ch, prof, p1, p2, lam = self._draw(rng, a)
+            alloc = Allocation(p1=p1, p2=p2)
+            got = _outcome(_solution, ch, prof, alloc, lam)
+            assert got == _outcome(_solution_reference, ch, prof, alloc, lam)
+            assert got[0] == _bytes(alloc)  # a Solution, not an error
+            seen["zero"] |= bool(np.any(p1 == 0.0) or np.any(p2 == 0.0))
+            seen["clamped"] |= bool(np.any((p1 > 0.0) & (p2 > a * a * p1)))
+            seen["zero_cap"] |= bool(prof.events[0].e_source == 0.0
+                                     or prof.events[0].e_relay == 0.0)
+            seen["single"] |= prof.n_epochs == 1
+        if a <= 1.0:
+            seen["clamped"] = True
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.7])
+    @pytest.mark.parametrize("node", [0, 1])
+    @pytest.mark.parametrize("power", [-1e-12, -1.0])
+    def test_negative_power_same_outcome(self, a, node, power):
+        # within the feasibility tolerance the rate check raises (the source
+        # always, the relay for a > 1); beyond it FeasibilityError does
+        rng = np.random.default_rng(3)
+        ch, prof, p1, p2, lam = self._draw(rng, a)
+        p = [p1.copy(), p2.copy()]
+        p[node][-1] = power
+        alloc = Allocation(p1=p[0], p2=p[1])
+        got = _outcome(_solution, ch, prof, alloc, lam)
+        assert got == _outcome(_solution_reference, ch, prof, alloc, lam)
+
+
 class TestProjection:
     def test_idempotent_and_feasible(self):
         rng = np.random.default_rng(0)
@@ -251,8 +362,8 @@ class TestSolveOuter:
         assert abs(sol.lam[0] - sol.lam[1]) <= 1e-6
         assert abs(sol.allocation.p1[0] - sol.allocation.p1[1]) <= 1e-6
 
-    def test_counters_report_one_slsqp_solve(self, monkeypatch):
-        import scipy.optimize
+    @staticmethod
+    def _count_slsqp(monkeypatch):
         njev = []
         minimize = scipy.optimize.minimize
 
@@ -262,11 +373,34 @@ class TestSolveOuter:
             return res
 
         monkeypatch.setattr(scipy.optimize, "minimize", counting)
-        prof = make_profile([0, 3], [4, 4], [2, 2], 6.0)
-        it = solve_minmax(CH, prof).iterations
+        return njev
+
+    def test_counters_report_one_slsqp_solve(self, monkeypatch):
+        # the staircase start of this instance does not certify
+        njev = self._count_slsqp(monkeypatch)
+        ch, prof = TestFoundFaults._draw(1011, 11, 2)
+        it = solve_minmax(ch, prof).iterations
         assert len(njev) == 1
         assert (it.outer, it.inner_solves) == (0, 1)
         assert it.inner_gradients == njev[0] >= 1
+
+    @pytest.mark.parametrize("k", [1, 199])
+    def test_certified_start_skips_slsqp(self, monkeypatch, k):
+        # proportional harvests: the staircase start is optimal, certifies,
+        # and is returned without an SLSQP solve
+        njev = self._count_slsqp(monkeypatch)
+        if k == 1:
+            ch, prof = CH, make_profile([0, 3], [4, 4], [2, 2], 6.0)
+        else:
+            ch, prof = random_proportional_instance(np.random.default_rng(0), k, 0.5)
+        sol = solve_minmax(ch, prof)
+        assert prof.n_epochs == k + 1
+        assert njev == []
+        assert sol.iterations == IterationCounters()
+        assert sol.converged and sol.kkt.certified(SolverConfig().tol_inner)
+        # the repair may lower a power by an ulp where a prefix is tight
+        want = solve_proportional(ch, prof, proportionality(prof)).total_bits
+        assert sol.total_bits == pytest.approx(want, rel=1e-14)
 
     def test_weighted_envelope_ordering(self):
         # the envelope value at the minimizer is below other weight choices
