@@ -100,6 +100,12 @@ class RateBranch:
 
 def _as_power(x, name, allow_zero=True):
     arr = np.asarray(x, dtype=float)
+    # valid input passes on its min and max alone; NaN fails both tests, and
+    # empty, non-finite, negative or zero input takes the full check below
+    if arr.size:
+        lo = arr.min()
+        if lo >= 0.0 and arr.max() < np.inf and (allow_zero or lo > 0.0):
+            return arr
     if not np.all(np.isfinite(arr)):
         raise ValueError("%s must be finite" % name)
     if np.any(arr < 0.0):
@@ -221,7 +227,11 @@ def _weighted_args(ch, p1, p2, lam):
     """The argument checks of :func:`weighted_rate`: (p1, p2, lam) as float
     arrays, p2 unchecked for a <= 1, where the broadcast bound ignores it."""
     lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr < 0.0) or np.any(lam_arr > 1.0) or not np.all(np.isfinite(lam_arr)):
+    # weights in [0, 1] pass on their min and max alone; NaN fails both
+    # tests, and empty or out-of-range weights take the full check
+    valid = lam_arr.size and lam_arr.min() >= 0.0 and lam_arr.max() <= 1.0
+    if not valid and (np.any(lam_arr < 0.0) or np.any(lam_arr > 1.0)
+                      or not np.all(np.isfinite(lam_arr))):
         raise ValueError("lam must lie in [0, 1]")
     if ch.a <= 1.0:
         if np.any(lam_arr > 0.0):
@@ -249,47 +259,68 @@ def _multi_access_grad(ch, p1, p2):
 
     Uses the clamp subgradient 0 for the clamped radicand.  At p2 = 0 (a > 1)
     the p2-derivative is +inf (square-root marginal); at p1 = 0 both partials
-    are reported as 0, matching the fixed value at that point.
+    are reported as 0, matching the fixed value at that point.  When every
+    p1 > 0 the whole arrays are differentiated, otherwise the positive
+    entries are; the clamp and p2 = 0 cases are selected only where they
+    occur.  Either way every entry gets the same floats.
     """
     a, b, N = ch.a, ch.b, ch.noise
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    p1b, p2b = np.broadcast_arrays(p1, p2)
-    d1 = np.zeros_like(p1b)
-    d2 = np.zeros_like(p1b)
-    pos = p1b > 0.0
-    if not np.any(pos):
-        return d1, d2
-
-    x = p1b[pos]
-    y = p2b[pos]
-    s1 = x * (a * a * x - b * b * y)
-    clamped = s1 <= 0.0
-    s1c = np.maximum(s1, 0.0)
-    s2 = b * b * (a * a - 1.0) * x * y
-    u = np.sqrt(s1c)
-    v = np.sqrt(s2)
-    w = u + v
-    snr = w * w / (a * a * x * N)
-    cp = 1.0 / (2.0 * LN2 * (1.0 + snr))
+    if p1.shape != p2.shape:
+        p1, p2 = np.broadcast_arrays(p1, p2)
+    if p1.size and p1.min() > 0.0:
+        pos = None
+        x, y = p1, p2
+    else:
+        pos = p1 > 0.0
+        if not pos.any():
+            return np.zeros_like(p1), np.zeros_like(p1)
+        x = p1[pos]
+        y = p2[pos]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        du1 = np.where(clamped, 0.0, (2.0 * a * a * x - b * b * y) / (2.0 * u))
-        du2 = np.where(clamped, 0.0, -b * b * x / (2.0 * u))
-        dv1 = np.where(s2 > 0.0, b * b * (a * a - 1.0) * y / (2.0 * v), 0.0)
-        # d sqrt(c*x*y)/dy at y=0 is +inf for x > 0 and a > 1
-        dv2 = np.where(s2 > 0.0, b * b * (a * a - 1.0) * x / (2.0 * v),
-                       np.where((a > 1.0) & (x > 0.0), np.inf, 0.0))
-    dw1 = du1 + dv1
-    dw2 = du2 + dv2
-    dsnr1 = w * (2.0 * dw1 * x - w) / (a * a * N * x * x)
-    with np.errstate(invalid="ignore"):
-        dsnr2 = 2.0 * w * dw2 / (a * a * x * N)
+        a2x = a * a * x
+        b2y = b * b * y
+        cx = b * b * (a * a - 1.0) * x
+        s1 = x * (a2x - b2y)
+        s2 = cx * y
+        u = np.sqrt(np.maximum(s1, 0.0))
+        v = np.sqrt(s2)
+        w = u + v
+        a2xn = a2x * N
+        snr = w * w / a2xn
+        cp = 1.0 / (2.0 * LN2 * (1.0 + snr))
+
+        u2 = 2.0 * u
+        du1 = (2.0 * a * a * x - b2y) / u2
+        du2 = -b * b * x / u2
+        clamped = s1 <= 0.0
+        if clamped.any():
+            du1 = np.where(clamped, 0.0, du1)
+            du2 = np.where(clamped, 0.0, du2)
+        v2 = 2.0 * v
+        dv1 = b * b * (a * a - 1.0) * y / v2
+        dv2 = cx / v2
+        flat = ~(s2 > 0.0)
+        if flat.any():
+            dv1 = np.where(flat, 0.0, dv1)
+            # d sqrt(c*x*y)/dy at y=0 is +inf for x > 0 and a > 1
+            dv2 = np.where(flat, np.where((a > 1.0) & (x > 0.0), np.inf, 0.0),
+                           dv2)
+        dw1 = du1 + dv1
+        dw2 = du2 + dv2
+        dsnr1 = w * (2.0 * dw1 * x - w) / (a * a * N * x * x)
+        dsnr2 = 2.0 * w * dw2 / a2xn
     # w = 0 with y = 0 (fresh origin): inf * 0 above; the limit slope is finite
     origin = (w == 0.0)
-    if np.any(origin):
+    if origin.any():
         dsnr1 = np.where(origin, 1.0 / N, dsnr1)
         dsnr2 = np.where(origin, np.inf if a > 1.0 else 0.0, dsnr2)
+    if pos is None:
+        return cp * dsnr1, cp * dsnr2
+    d1 = np.zeros_like(p1)
+    d2 = np.zeros_like(p1)
     d1[pos] = cp * dsnr1
     d2[pos] = cp * dsnr2
     return d1, d2

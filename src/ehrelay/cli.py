@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .oracle import BudgetExceededError, GridConfig, grid_search
 from .profile import (
     ProfileError,
     ProfileFormatError,
-    epoch_lengths,
     epochs,
     load_problem,
     proportionality,
@@ -52,26 +52,60 @@ UNITS = {"time": "s", "energy": "J", "power": "W", "rate": "bit/s",
          "throughput": "bit"}
 
 
-def _sig12(x):
-    if isinstance(x, float):
-        return float("%.12g" % x)
-    return x
+# json.dumps's words for the floats that float.__repr__ writes as nan, inf, -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _round_tree(obj):
-    if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_tree(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return _sig12(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+def _emit(obj, out, level=0):
+    """Append the JSON text of obj to the list out, as
+    json.dumps(obj, indent=2) writes it once every float, numpy ones
+    included, is rounded to 12 significant digits and numpy integers are
+    Python ints.  Keys must be strings.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (float, np.floating)):
+        text = float.__repr__(float("%.12g" % float(obj)))
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (list, tuple, dict)):
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            out.append("{}" if is_dict else "[]")
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = pad
+        out.append("{" if is_dict else "[")
+        for item in obj.items() if is_dict else obj:
+            out.append(sep)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError("keys must be str, not %s"
+                                    % key.__class__.__name__)
+                out += [encode_basestring_ascii(key), ": "]
+            _emit(item, out, level + 1)
+            sep = "," + pad
+        out += ["\n", "  " * level, "}" if is_dict else "]"]
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % obj.__class__.__name__)
 
 
 def _write_json(path, payload):
-    text = json.dumps(_round_tree(payload), indent=2) + "\n"
+    """Write payload and a newline with one traversal (:func:`_emit`); a
+    payload that cannot be serialized leaves no file behind."""
+    out = []
+    _emit(payload, out)
+    out.append("\n")
+    text = "".join(out)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -112,24 +146,30 @@ def _solver_config(args):
 
 
 def _detect_case(profile):
-    e1 = profile.e_source
-    e2 = profile.e_relay
-    if proportionality(profile) is not None:
-        return "proportional"
+    """(case, gamma): gamma is the proportionality constant of a
+    proportional profile and None otherwise."""
+    gamma = proportionality(profile)
+    if gamma is not None:
+        return "proportional", gamma
+    e1 = profile._arrays.e_source
+    e2 = profile._arrays.e_relay
     if e1[0] > 0 and np.all(e1[1:] == 0) and np.any(e2 > 0):
-        return "relay-only"
+        return "relay-only", None
     if e2[0] > 0 and np.all(e2[1:] == 0) and np.any(e1 > 0):
-        return "source-only"
-    return "general"
+        return "source-only", None
+    return "general", None
 
 
 def _dispatch(ch, profile, case, cfg):
     """Solve with the closed form of case, or the general solver; "auto"
-    detects the case from the profile.  Returns (case, Solution)."""
+    detects the case from the profile, and proportionality once.  Returns
+    (case, Solution)."""
+    gamma = None
     if case == "auto":
-        case = _detect_case(profile)
+        case, gamma = _detect_case(profile)
     if case == "proportional":
-        gamma = proportionality(profile)
+        if gamma is None:
+            gamma = proportionality(profile)
         if gamma is None:
             raise ProfileError(["profile is not proportional"])
         return case, solve_proportional(ch, profile, gamma)
@@ -271,7 +311,7 @@ def cmd_plotdata(args):
             fh.write("%.12g,%.12g,%.12g\n" % (ev.t, cum1, cum2))
         fh.write("%.12g,%.12g,%.12g\n" % (profile.horizon, cum1, cum2))
 
-    l = epoch_lengths(profile)
+    l = profile._arrays.lengths
     eps = epochs(profile)
     with open(paths["consumed"], "w") as fh:
         fh.write("t_s,consumed_source_J,consumed_relay_J\n")

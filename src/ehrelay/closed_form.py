@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import active_rate
-from .profile import RELAY, SOURCE, proportionality, require_valid
+from .profile import RELAY, SOURCE, _node_arrays, proportionality, require_valid
 from .solver import Allocation, _solution
 
 __all__ = [
@@ -207,8 +207,9 @@ def solve_proportional(ch, profile, gamma):
     if detected is None or not math.isclose(detected, gamma, rel_tol=1e-9):
         raise ValueError("profile is not proportional with gamma=%r (detected %r)"
                          % (gamma, detected))
-    times = list(profile.times) + [profile.horizon]
-    bp = staircase(times, list(profile.e_source))
+    arrays = profile._arrays
+    bp = staircase(arrays.times.tolist() + [profile.horizon],
+                   arrays.e_source.tolist())
     p1 = np.array(segment_powers(bp, profile.n_epochs), dtype=float)
     p2 = gamma * p1
     relay_assisted = ch.a > 1.0 and (ch.a * ch.a - 1.0) >= gamma
@@ -217,7 +218,7 @@ def solve_proportional(ch, profile, gamma):
 
 
 def _single_battery_power(profile, node):
-    e = profile.e_source if node == SOURCE else profile.e_relay
+    e = _node_arrays(profile, node)[0]
     bad = [i for i in range(len(e)) if e[i] > 0 and i > 0]
     if e[0] <= 0 or bad:
         raise ValueError(
@@ -238,9 +239,9 @@ def _single_harvester(ch, profile, node):
     if cap <= 0.0:
         p = np.zeros(n)
     else:
-        times = list(profile.times) + [profile.horizon]
-        e = profile.e_source if node == SOURCE else profile.e_relay
-        p = np.minimum(np.array(segment_powers(staircase(times, list(e)), n),
+        times = profile._arrays.times.tolist() + [profile.horizon]
+        e = _node_arrays(profile, node)[0].tolist()
+        p = np.minimum(np.array(segment_powers(staircase(times, e), n),
                                 dtype=float), cap)
     flat = np.full(n, P)
     p1, p2 = (p, flat) if node == SOURCE else (flat, p)

@@ -24,6 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,9 +84,36 @@ class HarvestEvent:
         object.__setattr__(self, "e_relay", float(self.e_relay))
 
 
+class _ProfileArrays(NamedTuple):
+    """The arrays derived from a profile, read-only: event times, the two
+    nodes' event energies, epoch lengths and the two nodes' cumulative caps
+    (the prefix-k bounds, k = 1..K+1)."""
+
+    times: np.ndarray
+    e_source: np.ndarray
+    e_relay: np.ndarray
+    lengths: np.ndarray
+    caps_source: np.ndarray
+    caps_relay: np.ndarray
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class HarvestProfile:
-    """Ordered harvest events plus the transmission deadline (horizon)."""
+    """Ordered harvest events plus the transmission deadline (horizon).
+
+    events and horizon are frozen, so everything derived from them is
+    computed once per profile: the invariant check and the arrays of
+    :class:`_ProfileArrays`, which the solvers, the closed forms, the
+    oracle and the command line read without copying.  Those arrays are
+    read-only; the public accessors (times, e_source, e_relay,
+    :func:`epoch_lengths`, :func:`cumulative_energies`) return fresh,
+    writable copies.
+    """
 
     events: tuple
     horizon: float
@@ -100,20 +128,37 @@ class HarvestProfile:
 
     @property
     def times(self):
-        return np.array([ev.t for ev in self.events], dtype=float)
+        return self._arrays.times.copy()
 
     @property
     def e_source(self):
-        return np.array([ev.e_source for ev in self.events], dtype=float)
+        return self._arrays.e_source.copy()
 
     @property
     def e_relay(self):
-        return np.array([ev.e_relay for ev in self.events], dtype=float)
+        return self._arrays.e_relay.copy()
+
+    def __getstate__(self):
+        # pickles and copies carry the fields alone: the caches are rebuilt,
+        # read-only, on first use (a pickled array comes back writable)
+        return {"events": self.events, "horizon": self.horizon}
 
     @functools.cached_property
     def _violations(self):
-        # events and horizon are frozen, so the check runs once per profile
         return tuple(_check_invariants(self))
+
+    @functools.cached_property
+    def _arrays(self):
+        times = np.array([ev.t for ev in self.events], dtype=float)
+        e1 = np.array([ev.e_source for ev in self.events], dtype=float)
+        e2 = np.array([ev.e_relay for ev in self.events], dtype=float)
+        return _ProfileArrays(
+            times=_read_only(times),
+            e_source=_read_only(e1),
+            e_relay=_read_only(e2),
+            lengths=_read_only(np.diff(np.append(times, self.horizon))),
+            caps_source=_read_only(np.cumsum(e1)),
+            caps_relay=_read_only(np.cumsum(e2)))
 
 
 @dataclass(frozen=True)
@@ -198,22 +243,23 @@ def require_valid(profile, allow_degenerate=False):
 def epochs(profile):
     """The K+1 epochs partitioning [0, T]."""
     require_valid(profile, allow_degenerate=True)
-    ts = list(profile.times) + [profile.horizon]
+    ts = list(profile._arrays.times) + [profile.horizon]
     return [Epoch(index=i + 1, start=ts[i], end=ts[i + 1], len=ts[i + 1] - ts[i])
             for i in range(len(profile.events))]
 
 
 def epoch_lengths(profile):
     """Epoch lengths as an array (sums exactly to the horizon)."""
-    ts = np.append(profile.times, profile.horizon)
-    return np.diff(ts)
+    return profile._arrays.lengths.copy()
 
 
-def _energies(profile, node):
+def _node_arrays(profile, node):
+    """(event energies, cumulative caps) of node, read-only."""
+    arrays = profile._arrays
     if node == SOURCE:
-        return profile.e_source
+        return arrays.e_source, arrays.caps_source
     if node == RELAY:
-        return profile.e_relay
+        return arrays.e_relay, arrays.caps_relay
     raise ValueError("node must be %r or %r, got %r" % (SOURCE, RELAY, node))
 
 
@@ -222,12 +268,12 @@ def cumulative_energy(profile, node, k):
     n = profile.n_epochs
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, %d], got %r" % (n, k))
-    return float(_energies(profile, node)[:k].sum())
+    return float(_node_arrays(profile, node)[0][:k].sum())
 
 
 def cumulative_energies(profile, node):
     """Vector of the prefix-k bounds for k = 1..K+1."""
-    return np.cumsum(_energies(profile, node))
+    return _node_arrays(profile, node)[1].copy()
 
 
 def proportionality(profile, rtol=PROPORTIONALITY_RTOL):
@@ -236,8 +282,8 @@ def proportionality(profile, rtol=PROPORTIONALITY_RTOL):
     0/0 pairs are treated as consistent; the comparison is relative so that
     modeling intent is separated from floating-point noise.
     """
-    e1 = profile.e_source
-    e2 = profile.e_relay
+    e1 = profile._arrays.e_source
+    e2 = profile._arrays.e_relay
     both = (e1 > 0) & (e2 > 0)
     if not np.any(both):
         return None

@@ -24,6 +24,16 @@ that system and the certificate is recomputed independently by
 :func:`kkt_residual`; since the weighted objective is concave and bounds
 min(R_ma, R_bc) from above, a small residual certifies global optimality.
 
+Every candidate schedule is checked and certified by :func:`_audit` (one
+gradient evaluation, one dual fit, one KKT report) before
+:func:`_assemble` rates it, so only the returned schedule becomes a
+Solution.  The profile's epoch lengths and caps come from its read-only
+cache, the feasibility, power and weight checks accept valid input on one
+min/max pass (anything else takes the full check, which names the fault),
+a node with no active constraint skips its NNLS fit, and a point already
+inside its polytope skips the Dykstra sweeps.  Each fast path gives the
+same floats as the full code.
+
 :func:`solve_inner` maximizes the weighted throughput for arbitrary
 per-epoch weights (projected gradient ascent with Dykstra projections and an
 active-face Newton polish); it serves the envelope-convexity checks.
@@ -35,7 +45,8 @@ first SLSQP solve, scipy.linalg by the first face-Newton polish.
 """
 
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,14 +62,7 @@ from .capacity import (
     weighted_rate,
     weighted_rate_grad,
 )
-from .profile import (
-    RELAY,
-    SOURCE,
-    ProfileError,
-    cumulative_energies,
-    epoch_lengths,
-    require_valid,
-)
+from .profile import RELAY, SOURCE, ProfileError, require_valid
 
 FEASIBILITY_RTOL = 1e-9
 # Armijo sufficient-increase slope and backtracking factor of the inner ascent
@@ -215,20 +219,21 @@ def _prefix_matrix(lengths):
 
 
 def _caps(profile):
-    """Cumulative harvests (c1, c2) of source and relay, prefix k = 1..K+1."""
-    return (cumulative_energies(profile, SOURCE),
-            cumulative_energies(profile, RELAY))
+    """Cumulative harvests (c1, c2) of source and relay, prefix k = 1..K+1,
+    from the profile's read-only cache."""
+    arrays = profile._arrays
+    return arrays.caps_source, arrays.caps_relay
 
 
 def _spends(alloc, l):
     """Cumulative energy spent by source and relay, prefix k = 1..K+1."""
-    return np.cumsum(alloc.p1 * l), np.cumsum(alloc.p2 * l)
+    return (alloc.p1 * l).cumsum(), (alloc.p2 * l).cumsum()
 
 
 def feasibility_violations(profile, alloc, rtol=FEASIBILITY_RTOL):
     """Human-readable list of violated prefix constraints (empty if feasible)."""
     return _violations(alloc, _caps(profile),
-                       _spends(alloc, epoch_lengths(profile)), rtol)
+                       _spends(alloc, profile._arrays.lengths), rtol)
 
 
 def _violations(alloc, caps, spends, rtol=FEASIBILITY_RTOL):
@@ -237,10 +242,13 @@ def _violations(alloc, caps, spends, rtol=FEASIBILITY_RTOL):
     for node, p, c, spend in zip((SOURCE, RELAY), (alloc.p1, alloc.p2),
                                  caps, spends):
         scale = max(1.0, c[-1])
+        excess = spend - c
+        # a feasible node passes on one min and one max (NaN fails both)
+        if p.size and p.min() >= -rtol * scale and excess.max() <= rtol * scale:
+            continue
         if np.any(p < -rtol * scale):
             out.append("%s power negative at epoch %d"
                        % (node, int(np.argmin(p)) + 1))
-        excess = spend - c
         for k in np.flatnonzero(excess > rtol * scale):
             out.append("%s prefix %d overspent by %.6g J" % (node, k + 1, excess[k]))
     return out
@@ -250,7 +258,7 @@ def _feasible(profile, alloc):
     """(epoch lengths, caps, spends) of alloc once the profile is valid and
     alloc feasible; FeasibilityError lists every violated prefix."""
     require_valid(profile, allow_degenerate=True)
-    l = epoch_lengths(profile)
+    l = profile._arrays.lengths
     if alloc.p1.shape != l.shape:
         raise ValueError("allocation has %d epochs, profile has %d"
                          % (alloc.p1.size, l.size))
@@ -290,10 +298,12 @@ def _tally(ch, l, p1, p2, ma, bc):
     bc of the nonnegative powers p1, p2; ma is ignored for a < 1."""
     ma = [None] * len(l) if ch.a < 1.0 else ma.tolist()
     use_ma = (ch.a > 1.0) & ((ch.a * ch.a - 1.0) * p1 >= p2)
-    rates = [RateBranch(MULTI_ACCESS if m else BROADCAST, x, y)
-             for m, x, y in zip(use_ma.tolist(), ma, bc.tolist())]
-    total = float(sum(r.active * l[i] for i, r in enumerate(rates)))
-    return total, rates
+    rates = []
+    total = 0  # summed in epoch order
+    for m, x, y, li in zip(use_ma.tolist(), ma, bc.tolist(), l.tolist()):
+        rates.append(RateBranch(MULTI_ACCESS if m else BROADCAST, x, y))
+        total += (x if m else y) * li
+    return float(total), rates
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +315,44 @@ def project_causality(p, lengths, caps, tol=1e-12, max_sweeps=5000):
 
     Dykstra's alternating projections over the K+1 prefix half-spaces and the
     nonnegative orthant; exact for this intersection and cheap at these
-    dimensions.
+    dimensions.  A point already inside, as the sweep tests it, is returned
+    without sweeping: the first sweep would move nothing but -0.0 to 0.0.
     """
-    n = len(lengths)
     x = np.array(p, dtype=float)
+    if max_sweeps > 0 and _inside(x, lengths, caps):
+        x = x + 0.0
+    else:
+        x = _dykstra(x, lengths, caps, tol, max_sweeps)
+    x = np.maximum(x, 0.0)
+    # remove any residual prefix violation exactly (largest-index first)
+    n = len(lengths)
+    spend = (x * lengths).cumsum()
+    for k in range(n - 1, -1, -1):
+        excess = spend[k] - caps[k]
+        if excess > 0.0:
+            for i in range(k, -1, -1):
+                take = min(excess, x[i] * lengths[i])
+                x[i] -= take / lengths[i]
+                excess -= take
+                if excess <= 0.0:
+                    break
+            spend = (x * lengths).cumsum()
+    return x
+
+
+def _inside(x, lengths, caps):
+    """Whether x holds one finite, nonnegative power per epoch and no prefix
+    k has x[:k+1] @ lengths[:k+1] > caps[k], the test of :func:`_dykstra`."""
+    if not (x.shape == (len(lengths),) and x.size and x.min() >= 0.0
+            and x.max() < np.inf):
+        return False
+    return all(float(x[: k + 1] @ lengths[: k + 1]) <= caps[k]
+               for k in range(len(lengths)))
+
+
+def _dykstra(x, lengths, caps, tol, max_sweeps):
+    """Dykstra's sweeps of :func:`project_causality`, from x."""
+    n = len(lengths)
     corr = np.zeros((n + 1, n))
     norms2 = np.cumsum(lengths * lengths)
     scale = max(1.0, float(np.max(np.abs(x))), float(caps[-1]))
@@ -329,19 +373,6 @@ def project_causality(p, lengths, caps, tol=1e-12, max_sweeps=5000):
         corr[n] = y - x
         if np.max(np.abs(x - x_prev)) <= tol * scale:
             break
-    x = np.maximum(x, 0.0)
-    # remove any residual prefix violation exactly (largest-index first)
-    spend = np.cumsum(x * lengths)
-    for k in range(n - 1, -1, -1):
-        excess = spend[k] - caps[k]
-        if excess > 0.0:
-            for i in range(k, -1, -1):
-                take = min(excess, x[i] * lengths[i])
-                x[i] -= take / lengths[i]
-                excess -= take
-                if excess <= 0.0:
-                    break
-            spend = np.cumsum(x * lengths)
     return x
 
 
@@ -362,6 +393,13 @@ def _eliminated(caps):
     return caps <= 0.0
 
 
+def _nodes(alloc, caps, spends):
+    """Per node (powers, caps, prefix slack spend - caps, kept epochs): what
+    the dual fit and the KKT report both read."""
+    return [(p, c, spend - c, ~_eliminated(c))
+            for p, c, spend in zip((alloc.p1, alloc.p2), caps, spends)]
+
+
 def kkt_residual(ch, profile, alloc, duals, lam):
     """Recompute the three certificate residuals from primal and dual values.
 
@@ -372,42 +410,44 @@ def kkt_residual(ch, profile, alloc, duals, lam):
 
     Computed from scratch; shares nothing with the solver iterations.
     """
-    l = epoch_lengths(profile)
+    l = profile._arrays.lengths
     lam = np.asarray(lam, dtype=float)
-    return _kkt_report(l, alloc, _caps(profile), _spends(alloc, l), duals,
-                       _true_gradients(ch, l, lam, alloc.p1, alloc.p2))
+    caps, spends = _caps(profile), _spends(alloc, l)
+    grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
+    return _kkt_report(l, _nodes(alloc, caps, spends), duals, grads)
 
 
-def _kkt_report(l, alloc, caps, spends, duals, grads):
-    """:func:`kkt_residual` from the caps, spends and objective gradients
-    grads of alloc."""
-    p1 = alloc.p1
-    p2 = alloc.p2
-    c1, c2 = caps
-    spend1, spend2 = spends
+def _kkt_report(l, nodes, duals, grads):
+    """:func:`kkt_residual` from the :func:`_nodes` terms and the objective
+    gradients grads of the allocation."""
+    (p1, _, slack1, keep1), (p2, _, slack2, keep2) = nodes
     g1, g2 = grads
 
     # epoch i pays l_i times the sum of the prefix multipliers k >= i
-    st1 = g1 - l * np.cumsum(duals.xi[::-1])[::-1] + duals.vartheta
-    st2 = g2 - l * np.cumsum(duals.mu[::-1])[::-1] + duals.eta
-    keep1 = ~_eliminated(c1)
-    keep2 = ~_eliminated(c2)
+    st1 = g1 - l * duals.xi[::-1].cumsum()[::-1] + duals.vartheta
+    st2 = g2 - l * duals.mu[::-1].cumsum()[::-1] + duals.eta
     stat_terms = np.concatenate([st1[keep1], st2[keep2]])
-    stationarity = float(np.max(np.abs(stat_terms))) if stat_terms.size else 0.0
+    stationarity = float(np.abs(stat_terms).max()) if stat_terms.size else 0.0
 
     slack_products = np.concatenate([
-        duals.xi * (spend1 - c1),
-        duals.mu * (spend2 - c2),
+        duals.xi * slack1,
+        duals.mu * slack2,
         (duals.vartheta * p1)[keep1],
         (duals.eta * p2)[keep2],
     ])
-    slackness = float(np.max(np.abs(slack_products))) if slack_products.size else 0.0
+    slackness = (float(np.abs(slack_products).max()) if slack_products.size
+                 else 0.0)
 
-    primal = [spend1 - c1, spend2 - c2, -p1, -p2]
-    feas = max(float(np.max(v)) for v in primal)
-    dual_neg = -min(0.0, *(float(np.min(getattr(duals, f)))
-                           for f in ("xi", "mu", "vartheta", "eta")))
-    feasibility = max(0.0, feas, dual_neg)
+    primal = (slack1, slack2, -p1, -p2)
+    mults = (duals.xi, duals.mu, duals.vartheta, duals.eta)
+    feas = float(np.concatenate(primal).max())
+    dual_min = float(np.concatenate(mults).min())
+    if feas != feas or dual_min != dual_min or not all(v.size for v in primal + mults):
+        # NaN or an empty part: reduce part by part, in the order in which
+        # Python's max and min then pass over NaN part extrema
+        feas = max(float(np.max(v)) for v in primal)
+        dual_min = min(0.0, *(float(np.min(v)) for v in mults))
+    feasibility = max(0.0, feas, -min(0.0, dual_min))
     return KktReport(stationarity=stationarity, slackness=slackness,
                      feasibility=feasibility)
 
@@ -421,41 +461,41 @@ def recover_duals(ch, profile, alloc, lam, active_tol=None):
     stationarity residual subject to dual feasibility.  scipy.optimize is
     imported by the first fit, not with this module.
     """
-    l = epoch_lengths(profile)
+    l = profile._arrays.lengths
     lam = np.asarray(lam, dtype=float)
-    return _fit_duals(l, alloc, _caps(profile), _spends(alloc, l),
-                      _true_gradients(ch, l, lam, alloc.p1, alloc.p2),
-                      active_tol)
+    caps, spends = _caps(profile), _spends(alloc, l)
+    grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
+    return _fit_duals(l, _nodes(alloc, caps, spends), grads, active_tol)
 
 
-def _fit_duals(l, alloc, caps, spends, grads, active_tol=None):
-    """:func:`recover_duals` from the caps, spends and objective gradients
-    grads of alloc."""
+def _fit_duals(l, nodes, grads, active_tol=None):
+    """:func:`recover_duals` from the :func:`_nodes` terms and the objective
+    gradients grads of the allocation.  A node with no active constraint,
+    or no kept epoch, keeps zero multipliers without a fit."""
     n = len(l)
-    idx = np.arange(n)[:, None]
-    out = {}
-    for c, spend, p, g, names in zip(caps, spends, (alloc.p1, alloc.p2), grads,
-                                     (("xi", "vartheta"), ("mu", "eta"))):
-        keep = ~_eliminated(c)
-        tol = active_tol if active_tol is not None else 1e-7 * max(1.0, c[-1])
-        act_pref = np.where(np.abs(spend - c) <= tol)[0]
-        p_scale = max(1.0, float(np.max(p)) if p.size else 1.0)
-        act_zero = np.where((p <= 1e-9 * p_scale) & keep)[0]
-        # prefix k's column holds l_i for i <= k; the bound p_i >= 0 is -e_i
-        A = np.hstack([np.where(idx <= act_pref, l[:, None], 0.0),
-                       np.where(idx == act_zero, -1.0, 0.0)])[keep]
-        b = g[keep]
+    mults = []
+    for (p, c, slack, keep), g in zip(nodes, grads):
         prefix_mult = np.zeros(n)
         zero_mult = np.zeros(n)
-        if np.all(np.isfinite(b)) and A.size:
-            import scipy.optimize
-            x, _ = scipy.optimize.nnls(A, b)
-            prefix_mult[act_pref] = x[: len(act_pref)]
-            zero_mult[act_zero] = x[len(act_pref):]
-        out[names[0]] = prefix_mult
-        out[names[1]] = zero_mult
-    return DualVariables(xi=out["xi"], vartheta=out["vartheta"],
-                         mu=out["mu"], eta=out["eta"])
+        mults += [prefix_mult, zero_mult]
+        tol = active_tol if active_tol is not None else 1e-7 * max(1.0, c[-1])
+        act_pref = (np.abs(slack) <= tol).nonzero()[0]
+        p_scale = max(1.0, float(p.max()) if p.size else 1.0)
+        act_zero = ((p <= 1e-9 * p_scale) & keep).nonzero()[0]
+        m, z = act_pref.size, act_zero.size
+        b = g[keep]
+        if not (b.size and m + z) or not np.isfinite(b).all():
+            continue
+        # prefix k's column holds l_i for i <= k; the bound p_i >= 0 is -e_i
+        A = np.zeros((n, m + z))
+        np.copyto(A[:, :m], l[:, None], where=np.arange(n)[:, None] <= act_pref)
+        A[act_zero, m + np.arange(z)] = -1.0
+        import scipy.optimize
+        x, _ = scipy.optimize.nnls(A[keep], b)
+        prefix_mult[act_pref] = x[:m]
+        zero_mult[act_zero] = x[m:]
+    return DualVariables(xi=mults[0], vartheta=mults[1],
+                         mu=mults[2], eta=mults[3])
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +503,17 @@ def _fit_duals(l, alloc, caps, spends, grads, active_tol=None):
 
 
 def _warm_start(profile):
+    """Each node's staircase powers, zero for a node that never harvests
+    (skipped before :func:`closed_form.staircase` could warn about it)."""
     from .closed_form import staircase, segment_powers
-    times = list(profile.times) + [profile.horizon]
+    arrays = profile._arrays
+    times = arrays.times.tolist() + [profile.horizon]
     p = []
-    for node in (SOURCE, RELAY):
-        e = profile.e_source if node == SOURCE else profile.e_relay
-        if np.all(e == 0.0):
+    for e in (arrays.e_source, arrays.e_relay):
+        if not e.any():
             p.append(np.zeros(profile.n_epochs))
             continue
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            bp = staircase(times, list(e))
+        bp = staircase(times, e.tolist())
         p.append(np.array(segment_powers(bp, profile.n_epochs), dtype=float))
     return p[0], p[1]
 
@@ -487,7 +527,7 @@ class _InnerProblem:
         self.ch = ch
         self.profile = profile
         self.lam = np.asarray(lam, dtype=float)
-        self.l = epoch_lengths(profile)
+        self.l = profile._arrays.lengths
         self.n = len(self.l)
         self.M = _prefix_matrix(self.l)
         self.c1, self.c2 = _caps(profile)
@@ -773,8 +813,9 @@ def _certificate(ch, l, alloc, lam, caps, spends):
     :func:`recover_duals` and :func:`kkt_residual` give them, from one
     gradient evaluation and the caps and spends of alloc."""
     grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
-    duals = _fit_duals(l, alloc, caps, spends, grads)
-    return duals, _kkt_report(l, alloc, caps, spends, duals, grads)
+    nodes = _nodes(alloc, caps, spends)
+    duals = _fit_duals(l, nodes, grads)
+    return duals, _kkt_report(l, nodes, duals, grads)
 
 
 def _release_step(prob, x):
@@ -892,7 +933,7 @@ def solve_minmax(ch, profile, cfg=None):
     if waived:
         warn.append("degenerate profile: " + "; ".join(waived))
         _warnings.warn(warn[0])
-    l = epoch_lengths(profile)
+    l = profile._arrays.lengths
     n = profile.n_epochs
     c1, c2 = _caps(profile)
     lam = np.full(n, 1.0 if ch.a > 1.0 else 0.0)
@@ -911,64 +952,92 @@ def solve_minmax(ch, profile, cfg=None):
         start = repaired(x0)
     else:
         start = Allocation(p1=p1, p2=p2)
-    sol = _solution(ch, profile, start, lam)
+    audit = _audit(ch, profile, start, lam)
     counters = IterationCounters()
-    if ch.a > 1.0 and not sol.kkt.certified(cfg.tol_inner):
+    if ch.a > 1.0 and not audit.kkt.certified(cfg.tol_inner):
         x, grads = _concave_program(ch, l, c1, c2, x0, cfg.max_iter_inner)
-        sol = _solution(ch, profile, repaired(x), lam)
-        if not sol.kkt.certified(cfg.tol_inner):
+        audit = _audit(ch, profile, repaired(x), lam)
+        if not audit.kkt.certified(cfg.tol_inner):
             # SLSQP stops once the objective stalls in its last bit, which
             # can leave the powers about 1e-8 off; Newton steps on the active
             # face of the lambda = 1 program finish them
             prob = _InnerProblem(ch, profile, lam)
             x = _polish_and_certify(
-                prob, np.concatenate([sol.allocation.p1, sol.allocation.p2]),
+                prob, np.concatenate([audit.alloc.p1, audit.alloc.p2]),
                 cfg)[0]
             grads += prob.grad_calls
-            sol = _solution(ch, profile, repaired(x), lam)
+            audit = _audit(ch, profile, repaired(x), lam)
         counters = IterationCounters(inner_solves=1, inner_gradients=grads)
-
-    return replace(
-        sol, iterations=counters, warnings=tuple(warn),
-        converged=(sol.kkt.certified(cfg.tol_inner)
-                   and sol.minmax_gap <= 10.0 * cfg.tol_outer))
+    return _assemble(ch, audit, counters, tuple(warn), cfg)
 
 
-def _solution(ch, profile, alloc, lam):
-    """The Solution of a feasible schedule under the weights lam.
+class _Audit(NamedTuple):
+    """A checked schedule with its certificate, before its rates are
+    assembled into a Solution."""
 
-    Every solver builds its result here, in one pass: the profile is
-    validated once, feasibility is checked once (infeasible allocations
-    raise FeasibilityError, as :func:`evaluate_schedule` does), the powers
-    and weights are checked as :func:`weighted_rate` checks them, and one
-    rate evaluation gives the per-epoch rates, the total bits and the
-    weighted objective with its min-max gap.  The multipliers fitted as by
-    :func:`recover_duals` and the certificate of :func:`kkt_residual` come
-    from one gradient evaluation and the same caps and spends.  converged
-    is True and the counters are zero; :func:`solve_minmax` replaces them
-    with its own.
+    alloc: Allocation
+    lam: np.ndarray
+    l: np.ndarray
+    duals: DualVariables
+    kkt: KktReport
+
+
+def _audit(ch, profile, alloc, lam):
+    """Check a schedule under the weights lam and certify it.
+
+    The profile is validated once, feasibility is checked once (infeasible
+    allocations raise FeasibilityError, as :func:`evaluate_schedule` does)
+    and the powers and weights are checked as :func:`weighted_rate` checks
+    them.  The multipliers fitted as by :func:`recover_duals` and the
+    certificate of :func:`kkt_residual` come from one gradient evaluation
+    and the same caps and spends.
     """
     lam = np.asarray(lam, dtype=float)
     l, caps, spends = _feasible(profile, alloc)
     _weighted_args(ch, alloc.p1, alloc.p2, lam)
+    duals, kkt = _certificate(ch, l, alloc, lam, caps, spends)
+    return _Audit(alloc, lam, l, duals, kkt)
+
+
+def _solution(ch, profile, alloc, lam):
+    """The Solution of a feasible schedule under the weights lam, with
+    converged True and zero counters: :func:`_audit`, then
+    :func:`_assemble`."""
+    return _assemble(ch, _audit(ch, profile, alloc, lam))
+
+
+def _assemble(ch, audit, iterations=IterationCounters(), warnings=(),
+              cfg=None):
+    """The Solution of an audited schedule; every solver builds its result
+    here, :func:`solve_minmax` only for the schedule it returns.
+
+    One rate evaluation gives the per-epoch rates, the total bits and the
+    weighted objective with its min-max gap.  converged is True without a
+    cfg (the closed forms); with one it is set by the certificate alone:
+    KKT residual <= tol_inner and minmax_gap <= 10*tol_outer.
+    """
+    alloc, lam, l = audit.alloc, audit.lam, audit.l
     p1 = np.maximum(alloc.p1, 0.0)
     p2 = np.maximum(alloc.p2, 0.0)
     ma, bc = _branch_rates(ch, p1, p2)
     total, rates = _tally(ch, l, p1, p2, ma, bc)
-    weighted = float(np.sum(l * (bc if ch.a <= 1.0
-                                 else lam * ma + (1.0 - lam) * bc)))
-    duals, kkt = _certificate(ch, l, alloc, lam, caps, spends)
+    weighted = float((l * (bc if ch.a <= 1.0
+                           else lam * ma + (1.0 - lam) * bc)).sum())
+    gap = abs(weighted - total)
+    converged = cfg is None or (audit.kkt.certified(cfg.tol_inner)
+                                and gap <= 10.0 * cfg.tol_outer)
     return Solution(
         allocation=alloc,
         lam=lam,
         rates=tuple(rates),
         total_bits=total,
-        duals=duals,
-        kkt=kkt,
-        minmax_gap=abs(weighted - total),
-        iterations=IterationCounters(),
-        converged=True,
+        duals=audit.duals,
+        kkt=audit.kkt,
+        minmax_gap=gap,
+        iterations=iterations,
+        converged=converged,
         objective_weighted=weighted,
+        warnings=warnings,
     )
 
 
@@ -995,17 +1064,16 @@ def invariant_report(ch, profile, alloc, stored_rates=None, stored_total=None,
       prefix at the change instant is tight;
     * stored per-epoch rates / total bits match recomputed values.
     """
-    l = epoch_lengths(profile)
+    l = profile._arrays.lengths
+    c1, c2 = _caps(profile)
     results = []
 
     viol = feasibility_violations(profile, alloc)
     max_excess = 0.0
-    for node, p in ((SOURCE, alloc.p1), (RELAY, alloc.p2)):
-        caps = cumulative_energies(profile, node)
+    for p, caps in ((alloc.p1, c1), (alloc.p2, c2)):
         spend = np.cumsum(p * l)
         max_excess = max(max_excess, float(np.max(spend - caps)))
-    scale = max(1.0, float(cumulative_energies(profile, SOURCE)[-1]),
-                float(cumulative_energies(profile, RELAY)[-1]))
+    scale = max(1.0, float(c1[-1]), float(c2[-1]))
     results.append(CheckResult("feasibility", not viol, max(0.0, max_excess),
                                FEASIBILITY_RTOL * scale,
                                "; ".join(viol)))
@@ -1019,9 +1087,8 @@ def invariant_report(ch, profile, alloc, stored_rates=None, stored_total=None,
                                    "decrease after epoch %s" % (bad + 1).tolist()
                                    if bad.size else ""))
 
-    for name, node, p in (("p1_tight_at_changes", SOURCE, alloc.p1),
-                          ("p2_tight_at_changes", RELAY, alloc.p2)):
-        caps = cumulative_energies(profile, node)
+    for name, p, caps in (("p1_tight_at_changes", alloc.p1, c1),
+                          ("p2_tight_at_changes", alloc.p2, c2)):
         tol = tight_slack_rel * max(1.0, caps[-1])
         spend = np.cumsum(p * l)
         worst = 0.0

@@ -5,6 +5,8 @@ High-precision expected values were computed with mpmath (40 digits):
     C(4)         = 1.160964047443681173...
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from ehrelay import (
     weighted_rate,
     weighted_rate_grad,
 )
+from ehrelay.capacity import LN2
 
 C_2_SQRT3 = 1.1212327819185368   # C(2+sqrt(3)), mpmath
 C_4 = 1.160964047443681          # C(4) = 0.5*log2(5), mpmath
@@ -280,3 +283,174 @@ class TestGradients:
                    - weighted_rate(ch, p1, p2 - h, lam)) / (2 * h)
             assert float(d1) == pytest.approx(fd1, rel=2e-5, abs=2e-7)
             assert float(d2) == pytest.approx(fd2, rel=2e-5, abs=2e-7)
+
+
+# ---------------------------------------------------------------------------
+# The argument checks and the gradient against their full, masked forms
+
+
+def _as_power_reference(x, name, allow_zero=True):
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("%s must be finite" % name)
+    if np.any(arr < 0.0):
+        raise ValueError("%s must be nonnegative" % name)
+    if not allow_zero and np.any(arr == 0.0):
+        raise ValueError("%s must be positive" % name)
+    return arr
+
+
+def _weighted_args_reference(ch, p1, p2, lam):
+    lam_arr = np.asarray(lam, dtype=float)
+    if np.any(lam_arr < 0.0) or np.any(lam_arr > 1.0) or not np.all(np.isfinite(lam_arr)):
+        raise ValueError("lam must lie in [0, 1]")
+    if ch.a <= 1.0:
+        if np.any(lam_arr > 0.0):
+            raise BranchUndefinedError(
+                "lam > 0 requires a > 1 (multi-access bound undefined)")
+        return _as_power_reference(p1, "p1"), None, lam_arr
+    return (_as_power_reference(p1, "p1"), _as_power_reference(p2, "p2"),
+            lam_arr)
+
+
+def _multi_access_grad_reference(ch, p1, p2):
+    """The masked gradient: only the p1 > 0 entries are differentiated."""
+    a, b, N = ch.a, ch.b, ch.noise
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    p1b, p2b = np.broadcast_arrays(p1, p2)
+    d1 = np.zeros_like(p1b)
+    d2 = np.zeros_like(p1b)
+    pos = p1b > 0.0
+    if not np.any(pos):
+        return d1, d2
+    x = p1b[pos]
+    y = p2b[pos]
+    s1 = x * (a * a * x - b * b * y)
+    clamped = s1 <= 0.0
+    s1c = np.maximum(s1, 0.0)
+    s2 = b * b * (a * a - 1.0) * x * y
+    u = np.sqrt(s1c)
+    v = np.sqrt(s2)
+    w = u + v
+    snr = w * w / (a * a * x * N)
+    cp = 1.0 / (2.0 * LN2 * (1.0 + snr))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du1 = np.where(clamped, 0.0, (2.0 * a * a * x - b * b * y) / (2.0 * u))
+        du2 = np.where(clamped, 0.0, -b * b * x / (2.0 * u))
+        dv1 = np.where(s2 > 0.0, b * b * (a * a - 1.0) * y / (2.0 * v), 0.0)
+        dv2 = np.where(s2 > 0.0, b * b * (a * a - 1.0) * x / (2.0 * v),
+                       np.where((a > 1.0) & (x > 0.0), np.inf, 0.0))
+    dw1 = du1 + dv1
+    dw2 = du2 + dv2
+    dsnr1 = w * (2.0 * dw1 * x - w) / (a * a * N * x * x)
+    with np.errstate(invalid="ignore"):
+        dsnr2 = 2.0 * w * dw2 / (a * a * x * N)
+    origin = (w == 0.0)
+    if np.any(origin):
+        dsnr1 = np.where(origin, 1.0 / N, dsnr1)
+        dsnr2 = np.where(origin, np.inf if a > 1.0 else 0.0, dsnr2)
+    d1[pos] = cp * dsnr1
+    d2[pos] = cp * dsnr2
+    return d1, d2
+
+
+def _weighted_rate_grad_reference(ch, p1, p2, lam):
+    a, N = ch.a, ch.noise
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    lam_arr = np.asarray(lam, dtype=float)
+    q = max(1.0, a * a)
+    dbc = q / (2.0 * LN2 * (N + q * p1))
+    if a <= 1.0:
+        z = np.zeros(np.broadcast_shapes(p1.shape, p2.shape, lam_arr.shape))
+        return dbc + z, z.copy()
+    dma1, dma2 = _multi_access_grad_reference(ch, p1, p2)
+    d1 = lam_arr * dma1 + (1.0 - lam_arr) * dbc
+    with np.errstate(invalid="ignore"):
+        d2 = lam_arr * dma2
+    return d1, np.where(lam_arr == 0.0, 0.0, d2)
+
+
+def _exact(value):
+    """Type, dtype, shape and bytes of a result (None stays None)."""
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    if value is None:
+        return None
+    arr = np.asarray(value)
+    return type(value).__name__, arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def _outcome(fn, *args):
+    try:
+        return _exact(fn(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+NAN, INF = float("nan"), float("inf")
+# valid and invalid power arguments: NaN, +-inf, negative, -0.0, empty, 0-d
+POWERS = [
+    [1.0, 2.0], [0.0, 3.0], [-0.0], [-0.0, 2.0], 0.0, -0.0, 3.5,
+    np.float64(2.0), [], np.array([]), [NAN], [1.0, NAN], NAN, [INF], INF,
+    [2.0, -INF], [-1.0], -1e-300, [1.0, -1e-12], [[1.0, 2.0], [0.5, 0.0]], [1, 2],
+]
+
+
+class TestArgumentChecksMatchFullCheck:
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    def test_as_power(self, allow_zero):
+        from ehrelay.capacity import _as_power
+        for x in POWERS:
+            assert (_outcome(_as_power, x, "p1", allow_zero)
+                    == _outcome(_as_power_reference, x, "p1", allow_zero)), x
+
+    @pytest.mark.parametrize("a", [0.8, 1.0, 2.0])
+    def test_weighted_args(self, a):
+        from ehrelay.capacity import _weighted_args
+        ch = ChannelParams(a=a, b=1.0, noise=1.0)
+        lams = [[0.5, 1.0], [0.0, 0.0], [-0.0], 0.0, 1.0, np.float64(0.3), [],
+                [NAN], NAN, [1.5], [-0.1, 0.2], [INF], [0.2, -INF],
+                [1.0 + 1e-16, 1.0], [[0.0, 1.0], [0.5, 0.5]]]
+        seen = set()
+        for lam in lams:
+            for p1, p2 in [([1.0, 2.0], [0.5, 0.0]), ([0.0, 1.0], [1.0, NAN]),
+                           ([1.0, -1e-12], [0.0, 1.0]), ([1.0, 1.0], [-1.0, 0.0]),
+                           ([INF, 1.0], [1.0, 1.0]), (0.0, -0.0), ([], [])]:
+                got = _outcome(_weighted_args, ch, p1, p2, lam)
+                assert got == _outcome(_weighted_args_reference, ch, p1, p2,
+                                       lam), (lam, p1, p2)
+                seen.add(got[0] if isinstance(got[0], type) else "ok")
+        assert seen == {"ok", ValueError} | (
+            {BranchUndefinedError} if a <= 1.0 else set())
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.4, 1.0), (2.7, 1.0),
+                                      (2.0, 0.6)])
+    def test_gradient_byte_equal_to_masked_form(self, a, b):
+        # every p1 > 0 (whole arrays) and some p1 = 0 (masked), with clamped
+        # radicands, p2 = 0, 0-d and broadcast arguments and zero weights
+        ch = ChannelParams(a=a, b=b, noise=0.7)
+        rng = np.random.default_rng(int(100 * a + 10 * b))
+        seen = dict(whole=False, masked=False, clamped=False, flat=False)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            p1 = rng.uniform(0.01, 5.0, n)
+            p2 = rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.8)
+            if rng.random() < 0.4:
+                p1 *= rng.random(n) < 0.7
+            if rng.random() < 0.3:  # clamped radicands: p2 > a^2*p1
+                p2 = np.maximum(p2, a * a * p1 * rng.uniform(1.0, 3.0, n))
+            lam = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+            args = [(p1, p2, lam), (p1[0], p2[0], lam[0]), (p1[0], p2, lam)]
+            for x, y, w in args:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = _exact(weighted_rate_grad(ch, x, y, w))
+                    ref = _exact(_weighted_rate_grad_reference(ch, x, y, w))
+                assert got == ref, (x, y, w)
+            seen["whole"] |= bool(np.all(p1 > 0.0))
+            seen["masked"] |= bool(np.any(p1 == 0.0) and np.any(p1 > 0.0))
+            seen["clamped"] |= bool(np.any((p1 > 0.0) & (p2 > a * a * p1)))
+            seen["flat"] |= bool(np.any((p1 > 0.0) & (p2 == 0.0)))
+        assert all(seen.values()), seen

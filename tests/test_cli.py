@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from ehrelay import ChannelParams
+from ehrelay import ChannelParams, proportionality
 from ehrelay.cli import main
 from support import make_profile, worked_proportional, write_problem
 
@@ -281,3 +281,97 @@ class TestModelBoundary:
         rc = main(["plotdata", path, "--out", str(tmp)])
         assert rc == 3
         assert "b = 1 only" in capsys.readouterr().err
+
+
+def _round_tree(obj):
+    """The payload as the JSON writer rounds it: floats, numpy ones
+    included, to 12 significant digits, numpy integers to ints."""
+    if isinstance(obj, dict):
+        return {k: _round_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_tree(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        return float("%.12g" % float(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+class TestJsonWriter:
+    """cli._write_json writes what json.dumps(indent=2) writes for the
+    rounded payload, in one traversal."""
+
+    PAYLOADS = [
+        {"f": 1.0 / 3.0, "np64": np.float64(2.0 / 7.0), "np32": np.float32(0.1),
+         "big": 1.2345678901234567e300, "tiny": 5e-324, "whole": 1e16,
+         "neg_zero": -0.0, "round_up": 0.9999999999996, "ints": [0, -7, 2 ** 70],
+         "np_ints": [np.int64(-3), np.int32(12), np.uint8(255)]},
+        {"nan": float("nan"), "inf": float("inf"), "-inf": -np.inf,
+         "np_nan": np.float64("nan")},
+        {"true": True, "false": False, "none": None, "empty_list": [],
+         "empty_dict": {}, "empty_tuple": (), "nested": [[], {}, [[1.5]], {"a": {}}]},
+        {"input": '/tmp/dir "quoted"/café – über\\x.json',
+         "output_paths": ["/d/λ_schedule.json", "tab\there", "\u0000\u001f"],
+         "é key": "\U0001f600"},
+        [1.0, [2.0, [3.0, {"deep": (4.0, 5)}]]],
+        {}, [], "just a string", 3.25, 7, None, True,
+    ]
+
+    @pytest.mark.parametrize("index", range(len(PAYLOADS)))
+    def test_same_bytes_as_json_dumps(self, tmp_path, index):
+        from ehrelay.cli import _write_json
+        payload = self.PAYLOADS[index]
+        path = tmp_path / "out.json"
+        _write_json(path, payload)
+        with open(path, "rb") as fh:
+            got = fh.read()
+        want = json.dumps(_round_tree(payload), indent=2) + "\n"
+        assert got == want.encode()
+
+    def test_solve_payloads(self, tmp_path):
+        # every field type of a real schedule file, from each dispatch case
+        from ehrelay.cli import _write_json
+        for name, e1, e2 in (("prop", [2, 8, 2], [1, 4, 1]),
+                             ("relay", [6, 0, 0], [1, 4, 2]),
+                             ("general", [1, 3, 0.5], [2, 0.1, 3])):
+            path = write_problem(tmp_path / (name + ".json"), CH,
+                                 make_profile([0, 2, 4], e1, e2, 6.0))
+            assert main(["solve", str(path), "--out", str(tmp_path)]) == 0
+            with open(tmp_path / (name + "_schedule.json")) as fh:
+                text = fh.read()
+            payload = json.loads(text)
+            _write_json(tmp_path / "again.json", payload)
+            with open(tmp_path / "again.json") as fh:
+                assert fh.read() == json.dumps(_round_tree(payload), indent=2) + "\n"
+            assert text == json.dumps(_round_tree(payload), indent=2) + "\n"
+
+    def test_unserializable_payload_leaves_no_file(self, tmp_path):
+        from ehrelay.cli import _write_json
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError) as exc:
+            _write_json(path, {"ok": 1.0, "bad": np.arange(3)})
+        with pytest.raises(TypeError) as want:
+            json.dumps(_round_tree({"ok": 1.0, "bad": np.arange(3)}), indent=2)
+        assert str(exc.value) == str(want.value)
+        assert not path.exists()
+
+
+class TestDispatch:
+    def test_proportionality_detected_once_per_file(self, worked_file,
+                                                    monkeypatch):
+        import ehrelay.cli as cli
+        calls = []
+
+        def counting(profile, *args, **kwargs):
+            calls.append(profile)
+            return proportionality(profile, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "proportionality", counting)
+        path, tmp_path = worked_file
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert main(["solve", str(path), "--case", "proportional",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        assert _read(tmp_path / "worked_schedule.json")["case"] == "proportional"

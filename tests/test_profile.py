@@ -1,27 +1,34 @@
 """Harvest-profile model, validation and serialization tests."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from ehrelay import (
     ChannelParams,
+    GridConfig,
     HarvestEvent,
     HarvestProfile,
     ProfileError,
     ProfileFormatError,
+    cumulative_energies,
     cumulative_energy,
     epoch_lengths,
     epochs,
     events_to_csv,
+    grid_search,
     load_problem,
     parse_problem,
     proportionality,
     save_problem,
+    solve_minmax,
     validate,
 )
-from support import make_profile
+from ehrelay.profile import RELAY, SOURCE
+from support import make_profile, random_instance
 
 
 class TestValidate:
@@ -159,3 +166,54 @@ class TestSerialization:
         assert lines[0] == "t,e_source,e_relay"
         assert lines[1] == "0.0,2.0,1.0"
         assert len(lines) == 3
+
+
+class TestCachedArrays:
+    """Each profile computes its derived arrays once and keeps them
+    read-only; the public accessors hand out fresh, writable copies."""
+
+    @staticmethod
+    def _public(prof):
+        return {"times": prof.times, "e_source": prof.e_source,
+                "e_relay": prof.e_relay, "lengths": epoch_lengths(prof),
+                "caps_source": cumulative_energies(prof, SOURCE),
+                "caps_relay": cumulative_energies(prof, RELAY)}
+
+    def test_read_only_and_equal_to_accessors(self):
+        prof = make_profile([0.0, 1.5, 4.0], [2.0, 0.0, 3.5], [1.0, 4.0, 0.0], 7.25)
+        cached = prof._arrays._asdict()
+        assert set(cached) == set(self._public(prof))
+        for name, arr in self._public(prof).items():
+            assert not cached[name].flags.writeable, name
+            with pytest.raises(ValueError):
+                cached[name][0] = 1.0
+            assert arr.flags.writeable and arr is not cached[name]
+            assert arr.dtype == cached[name].dtype == np.float64
+            assert arr.tobytes() == cached[name].tobytes(), name
+        # the same arrays as the accessors built before the cache
+        assert prof.times.tolist() == [0.0, 1.5, 4.0]
+        assert epoch_lengths(prof).tolist() == [1.5, 2.5, 3.25]
+        assert cumulative_energies(prof, RELAY).tolist() == [1.0, 5.0, 5.0]
+        assert prof._arrays is prof._arrays
+
+    def test_pickles_and_copies_rebuild_the_cache(self):
+        prof = make_profile([0.0, 2.0], [1.0, 3.0], [2.0, 0.0], 5.0)
+        prof._arrays, prof._violations
+        for other in (pickle.loads(pickle.dumps(prof)), copy.copy(prof),
+                      copy.deepcopy(prof)):
+            assert other == prof
+            assert set(vars(other)) == {"events", "horizon"}
+            for name, arr in other._arrays._asdict().items():
+                assert not arr.flags.writeable, name
+                assert arr.tobytes() == getattr(prof._arrays, name).tobytes()
+
+    def test_writing_accessor_arrays_leaves_solves_unchanged(self):
+        rng = np.random.default_rng(5)
+        ch, prof = random_instance(rng, 3, a_low_frac=0.0)
+        before = pickle.dumps(solve_minmax(ch, prof))
+        grid = pickle.dumps(grid_search(ch, prof, GridConfig(6, 0, 1e9)))
+        for arr in self._public(prof).values():
+            arr[:] = -1.0
+        assert pickle.dumps(solve_minmax(ch, prof)) == before
+        assert pickle.dumps(grid_search(ch, prof, GridConfig(6, 0, 1e9))) == grid
+        assert np.all(prof.e_source >= 0.0)

@@ -33,6 +33,7 @@ from ehrelay.profile import RELAY, SOURCE, cumulative_energies, epoch_lengths
 from ehrelay.solver import (
     FEASIBILITY_RTOL,
     IterationCounters,
+    KktReport,
     _epoch_rates,
     _solution,
     feasibility_violations,
@@ -223,9 +224,14 @@ class TestSolutionOnePass:
         prof = make_profile(times, e[0], e[1], times[-1] + rng.uniform(0.5, 3.0))
         l = epoch_lengths(prof)
         p = []
+        # some draws give the source power in every epoch its cap allows, so
+        # that the gradient runs on whole arrays as well as on masked ones
+        busy_source = rng.random() < 0.3
         for c in (cumulative_energies(prof, SOURCE), cumulative_energies(prof, RELAY)):
             # spend a random share of what is left, some epochs nothing
             share = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+            if busy_source and not p:
+                share = rng.uniform(0.05, 1.0, n)
             q, spent = np.zeros(n), 0.0
             for i in range(n):
                 q[i] = share[i] * (c[i] - spent) / l[i]
@@ -242,7 +248,9 @@ class TestSolutionOnePass:
     @pytest.mark.parametrize("a", [0.5, 0.93, 1.0, 1.4, 2.7])
     def test_byte_equal_to_public_composition(self, a):
         rng = np.random.default_rng(int(a * 1000))
-        seen = dict(zero=False, clamped=False, zero_cap=False, single=False)
+        seen = dict(zero=False, clamped=False, zero_cap=False, single=False,
+                    whole=False, whole_clamped=False, whole_flat=False,
+                    masked=False)
         for _ in range(120):
             ch, prof, p1, p2, lam = self._draw(rng, a)
             alloc = Allocation(p1=p1, p2=p2)
@@ -254,8 +262,15 @@ class TestSolutionOnePass:
             seen["zero_cap"] |= bool(prof.events[0].e_source == 0.0
                                      or prof.events[0].e_relay == 0.0)
             seen["single"] |= prof.n_epochs == 1
+            # the multi-access gradient on whole arrays (every p1 > 0), with
+            # clamped radicands or p2 = 0 among them, and on masked ones
+            whole = bool(np.all(p1 > 0.0))
+            seen["whole"] |= whole
+            seen["whole_clamped"] |= whole and bool(np.any(p2 > a * a * p1))
+            seen["whole_flat"] |= whole and bool(np.any(p2 == 0.0))
+            seen["masked"] |= bool(np.any(p1 == 0.0) and np.any(p1 > 0.0))
         if a <= 1.0:
-            seen["clamped"] = True
+            seen["clamped"] = seen["whole_clamped"] = True
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.7])
@@ -271,6 +286,241 @@ class TestSolutionOnePass:
         alloc = Allocation(p1=p[0], p2=p[1])
         got = _outcome(_solution, ch, prof, alloc, lam)
         assert got == _outcome(_solution_reference, ch, prof, alloc, lam)
+
+
+# ---------------------------------------------------------------------------
+# The feasibility check, the projection and the certificate against the full
+# code that their fast paths shortcut
+
+
+def _violations_reference(alloc, caps, spends, rtol=FEASIBILITY_RTOL):
+    out = []
+    for node, p, c, spend in zip((SOURCE, RELAY), (alloc.p1, alloc.p2),
+                                 caps, spends):
+        scale = max(1.0, c[-1])
+        if np.any(p < -rtol * scale):
+            out.append("%s power negative at epoch %d"
+                       % (node, int(np.argmin(p)) + 1))
+        excess = spend - c
+        for k in np.flatnonzero(excess > rtol * scale):
+            out.append("%s prefix %d overspent by %.6g J" % (node, k + 1, excess[k]))
+    return out
+
+
+def _project_reference(p, lengths, caps, tol=1e-12, max_sweeps=5000):
+    """project_causality with every Dykstra sweep run."""
+    n = len(lengths)
+    x = np.array(p, dtype=float)
+    corr = np.zeros((n + 1, n))
+    norms2 = np.cumsum(lengths * lengths)
+    scale = max(1.0, float(np.max(np.abs(x))), float(caps[-1]))
+    for _ in range(max_sweeps):
+        x_prev = x.copy()
+        for k in range(n):
+            y = x + corr[k]
+            viol = float(y[: k + 1] @ lengths[: k + 1]) - caps[k]
+            if viol > 0.0:
+                xk = y.copy()
+                xk[: k + 1] -= viol * lengths[: k + 1] / norms2[k]
+            else:
+                xk = y
+            corr[k] = y - xk
+            x = xk
+        y = x + corr[n]
+        x = np.maximum(y, 0.0)
+        corr[n] = y - x
+        if np.max(np.abs(x - x_prev)) <= tol * scale:
+            break
+    x = np.maximum(x, 0.0)
+    spend = np.cumsum(x * lengths)
+    for k in range(n - 1, -1, -1):
+        excess = spend[k] - caps[k]
+        if excess > 0.0:
+            for i in range(k, -1, -1):
+                take = min(excess, x[i] * lengths[i])
+                x[i] -= take / lengths[i]
+                excess -= take
+                if excess <= 0.0:
+                    break
+            spend = np.cumsum(x * lengths)
+    return x
+
+
+def _certificate_terms(ch, prof, alloc, lam):
+    l = epoch_lengths(prof)
+    caps = (cumulative_energies(prof, SOURCE), cumulative_energies(prof, RELAY))
+    spends = (np.cumsum(alloc.p1 * l), np.cumsum(alloc.p2 * l))
+    d1, d2 = weighted_rate_grad(ch, alloc.p1, alloc.p2,
+                                np.asarray(lam, dtype=float))
+    return l, caps, spends, (l * d1, l * d2)
+
+
+def _recover_duals_reference(ch, prof, alloc, lam, active_tol=None):
+    """recover_duals with the NNLS matrix stacked from np.where blocks."""
+    l, caps, spends, grads = _certificate_terms(ch, prof, alloc, lam)
+    n = len(l)
+    idx = np.arange(n)[:, None]
+    out = {}
+    for c, spend, p, g, names in zip(caps, spends, (alloc.p1, alloc.p2), grads,
+                                     (("xi", "vartheta"), ("mu", "eta"))):
+        keep = ~(c <= 0.0)
+        tol = active_tol if active_tol is not None else 1e-7 * max(1.0, c[-1])
+        act_pref = np.where(np.abs(spend - c) <= tol)[0]
+        p_scale = max(1.0, float(np.max(p)) if p.size else 1.0)
+        act_zero = np.where((p <= 1e-9 * p_scale) & keep)[0]
+        A = np.hstack([np.where(idx <= act_pref, l[:, None], 0.0),
+                       np.where(idx == act_zero, -1.0, 0.0)])[keep]
+        b = g[keep]
+        prefix_mult = np.zeros(n)
+        zero_mult = np.zeros(n)
+        if np.all(np.isfinite(b)) and A.size:
+            x, _ = scipy.optimize.nnls(A, b)
+            prefix_mult[act_pref] = x[: len(act_pref)]
+            zero_mult[act_zero] = x[len(act_pref):]
+        out[names[0]] = prefix_mult
+        out[names[1]] = zero_mult
+    return DualVariables(xi=out["xi"], vartheta=out["vartheta"],
+                         mu=out["mu"], eta=out["eta"])
+
+
+def _kkt_residual_reference(ch, prof, alloc, duals, lam):
+    """kkt_residual with the feasibility residual reduced part by part."""
+    l, (c1, c2), (spend1, spend2), (g1, g2) = _certificate_terms(
+        ch, prof, alloc, lam)
+    p1, p2 = alloc.p1, alloc.p2
+    st1 = g1 - l * np.cumsum(duals.xi[::-1])[::-1] + duals.vartheta
+    st2 = g2 - l * np.cumsum(duals.mu[::-1])[::-1] + duals.eta
+    keep1 = ~(c1 <= 0.0)
+    keep2 = ~(c2 <= 0.0)
+    stat_terms = np.concatenate([st1[keep1], st2[keep2]])
+    stationarity = float(np.max(np.abs(stat_terms))) if stat_terms.size else 0.0
+    slack_products = np.concatenate([
+        duals.xi * (spend1 - c1),
+        duals.mu * (spend2 - c2),
+        (duals.vartheta * p1)[keep1],
+        (duals.eta * p2)[keep2],
+    ])
+    slackness = float(np.max(np.abs(slack_products))) if slack_products.size else 0.0
+    primal = [spend1 - c1, spend2 - c2, -p1, -p2]
+    feas = max(float(np.max(v)) for v in primal)
+    dual_neg = -min(0.0, *(float(np.min(getattr(duals, f)))
+                           for f in ("xi", "mu", "vartheta", "eta")))
+    return KktReport(stationarity=stationarity, slackness=slackness,
+                     feasibility=max(0.0, feas, dual_neg))
+
+
+def _any_outcome(fn, *args):
+    try:
+        return _bytes(fn(*args))
+    except Exception as exc:  # the same error, whatever its type
+        return type(exc), str(exc)
+
+
+class TestFastPathsMatchFullCode:
+    @staticmethod
+    def _profile(rng):
+        n = int(rng.integers(1, 6))
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 3.0, n - 1))])
+        e = rng.uniform(0.5, 8.0, (2, n)) * (rng.random((2, n)) < 0.75)
+        if rng.random() < 0.3:  # a zero-cap epoch
+            e[int(rng.integers(0, 2)), 0] = 0.0
+        return make_profile(times, e[0], e[1], times[-1] + rng.uniform(0.5, 3.0))
+
+    @staticmethod
+    def _powers(rng, prof):
+        """Powers inside, on and beyond the caps, with -0.0, tiny and large
+        negatives, NaN and inf among them."""
+        n = prof.n_epochs
+        l = epoch_lengths(prof)
+        p = []
+        for c in (cumulative_energies(prof, SOURCE), cumulative_energies(prof, RELAY)):
+            q = rng.uniform(0.0, 1.0, n) * np.diff(np.concatenate([[0.0], c])) / l
+            kind = rng.integers(0, 12, n)
+            q[kind == 0] = 0.0
+            q[kind == 1] = -0.0
+            q[kind == 2] = -1e-12
+            q[kind == 3] = -rng.uniform(0.1, 2.0, np.sum(kind == 3))
+            q[kind == 4] *= 1.0 + rng.uniform(0.0, 2.0, np.sum(kind == 4))
+            if rng.random() < 0.05:
+                q[int(rng.integers(0, n))] = rng.choice([np.nan, np.inf, -np.inf])
+            if rng.random() < 0.3:  # spend the whole cap: tight prefixes
+                q = np.diff(np.concatenate([[0.0], c])) / l
+            p.append(q)
+        return Allocation(p1=p[0], p2=p[1])
+
+    def test_violations(self):
+        from ehrelay.solver import _caps, _spends, _violations
+        rng = np.random.default_rng(41)
+        seen_empty = seen_found = False
+        for _ in range(400):
+            prof = self._profile(rng)
+            alloc = self._powers(rng, prof)
+            args = (alloc, _caps(prof), _spends(alloc, epoch_lengths(prof)))
+            got = _any_outcome(_violations, *args)
+            assert got == _any_outcome(_violations_reference, *args)
+            seen_empty |= got == ()
+            seen_found |= got != ()
+        empty = Allocation(p1=[], p2=[])
+        args = (empty, (np.array([]), np.array([])), (np.array([]), np.array([])))
+        assert _any_outcome(_violations, *args) == \
+            _any_outcome(_violations_reference, *args)
+        assert seen_empty and seen_found
+
+    def test_projection(self):
+        rng = np.random.default_rng(42)
+        seen_inside = seen_outside = False
+        for _ in range(400):
+            prof = self._profile(rng)
+            alloc = self._powers(rng, prof)
+            l = epoch_lengths(prof)
+            for p, c in ((alloc.p1, cumulative_energies(prof, SOURCE)),
+                         (alloc.p2, cumulative_energies(prof, RELAY))):
+                if not np.all(np.isfinite(p)):
+                    continue
+                got = project_causality(p, l, c)
+                want = _project_reference(p, l, c)
+                assert _bytes(got) == _bytes(want), (p, l, c)
+                inside = bool(np.all(p >= 0.0) and np.all(
+                    np.cumsum(p * l) <= c))
+                seen_inside |= inside
+                seen_outside |= not inside
+                assert _bytes(project_causality(p, l, c, max_sweeps=0)) == \
+                    _bytes(_project_reference(p, l, c, max_sweeps=0))
+        assert seen_inside and seen_outside
+
+    def test_certificate(self):
+        rng = np.random.default_rng(43)
+        seen = dict(fit=False, nan=False, negative_dual=False)
+        for _ in range(300):
+            prof = self._profile(rng)
+            a = rng.choice([0.8, 1.0, 1.6, 2.5])
+            ch = ChannelParams(a=a, b=1.0, noise=rng.uniform(0.5, 2.0))
+            alloc = self._powers(rng, prof)
+            n = prof.n_epochs
+            lam = (rng.uniform(0.0, 1.0, n) if a > 1.0 else np.zeros(n))
+            duals = DualVariables(*(rng.uniform(-0.5, 2.0, (4, n))
+                                    * (rng.random((4, n)) < 0.7)))
+            if rng.random() < 0.1:
+                duals.xi[int(rng.integers(0, n))] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fit = recover_duals(ch, prof, alloc, lam)
+                assert _bytes(fit) == _bytes(
+                    _recover_duals_reference(ch, prof, alloc, lam))
+                for d in (duals, fit):
+                    rep = _any_outcome(kkt_residual, ch, prof, alloc, d, lam)
+                    assert rep == _any_outcome(_kkt_residual_reference, ch,
+                                               prof, alloc, d, lam)
+            seen["fit"] |= bool(np.any(fit.xi > 0.0) or np.any(fit.eta > 0.0))
+            seen["nan"] |= bool(np.isnan(alloc.p1).any() or np.isnan(duals.xi).any())
+            seen["negative_dual"] |= bool(np.any(duals.mu < 0.0))
+        # empty multipliers beside nonempty ones raise as before
+        prof = make_profile([0.0], [1.0], [1.0], 2.0)
+        alloc = Allocation(p1=[0.5], p2=[0.25])
+        odd = DualVariables(xi=[], mu=[0.1], vartheta=[0.0], eta=[0.0])
+        assert _any_outcome(kkt_residual, CH, prof, alloc, odd, [1.0]) == \
+            _any_outcome(_kkt_residual_reference, CH, prof, alloc, odd, [1.0])
+        assert all(seen.values()), seen
 
 
 class TestProjection:
