@@ -259,25 +259,18 @@ def _multi_access_grad(ch, p1, p2):
 
     Uses the clamp subgradient 0 for the clamped radicand.  At p2 = 0 (a > 1)
     the p2-derivative is +inf (square-root marginal); at p1 = 0 both partials
-    are reported as 0, matching the fixed value at that point.  When every
-    p1 > 0 the whole arrays are differentiated, otherwise the positive
-    entries are; the clamp and p2 = 0 cases are selected only where they
-    occur.  Either way every entry gets the same floats.
+    are reported as 0, matching the fixed value at that point.  The whole
+    arrays are differentiated, so every positive entry gets the floats it
+    would get alone; entries with p1 <= 0 (whose NaN and inf are silenced
+    here) are then set to 0.  The clamp and p2 = 0 cases are selected only
+    where they occur.
     """
     a, b, N = ch.a, ch.b, ch.noise
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if p1.shape != p2.shape:
         p1, p2 = np.broadcast_arrays(p1, p2)
-    if p1.size and p1.min() > 0.0:
-        pos = None
-        x, y = p1, p2
-    else:
-        pos = p1 > 0.0
-        if not pos.any():
-            return np.zeros_like(p1), np.zeros_like(p1)
-        x = p1[pos]
-        y = p2[pos]
+    x, y = p1, p2
 
     with np.errstate(divide="ignore", invalid="ignore"):
         a2x = a * a * x
@@ -312,18 +305,18 @@ def _multi_access_grad(ch, p1, p2):
         dw2 = du2 + dv2
         dsnr1 = w * (2.0 * dw1 * x - w) / (a * a * N * x * x)
         dsnr2 = 2.0 * w * dw2 / a2xn
-    # w = 0 with y = 0 (fresh origin): inf * 0 above; the limit slope is finite
-    origin = (w == 0.0)
-    if origin.any():
-        dsnr1 = np.where(origin, 1.0 / N, dsnr1)
-        dsnr2 = np.where(origin, np.inf if a > 1.0 else 0.0, dsnr2)
-    if pos is None:
-        return cp * dsnr1, cp * dsnr2
-    d1 = np.zeros_like(p1)
-    d2 = np.zeros_like(p1)
-    d1[pos] = cp * dsnr1
-    d2[pos] = cp * dsnr2
-    return d1, d2
+        # w = 0 with y = 0 (fresh origin): inf * 0 above; the limit slope
+        # is finite
+        origin = (w == 0.0)
+        if origin.any():
+            dsnr1 = np.where(origin, 1.0 / N, dsnr1)
+            dsnr2 = np.where(origin, np.inf if a > 1.0 else 0.0, dsnr2)
+        d1 = cp * dsnr1
+        d2 = cp * dsnr2
+    pos = p1 > 0.0
+    if pos.all():
+        return d1, d2
+    return np.where(pos, d1, 0.0), np.where(pos, d2, 0.0)
 
 
 def weighted_rate_grad(ch, p1, p2, lam):

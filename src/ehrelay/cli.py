@@ -34,8 +34,11 @@ from . import __version__
 from .closed_form import solve_proportional, solve_relay_only, solve_source_only
 from .oracle import BudgetExceededError, GridConfig, grid_search
 from .profile import (
+    RELAY,
+    SOURCE,
     ProfileError,
     ProfileFormatError,
+    _node_arrays,
     epochs,
     load_problem,
     proportionality,
@@ -151,8 +154,8 @@ def _detect_case(profile):
     gamma = proportionality(profile)
     if gamma is not None:
         return "proportional", gamma
-    e1 = profile._arrays.e_source
-    e2 = profile._arrays.e_relay
+    e1 = _node_arrays(profile, SOURCE)[2]
+    e2 = _node_arrays(profile, RELAY)[2]
     if e1[0] > 0 and np.all(e1[1:] == 0) and np.any(e2 > 0):
         return "relay-only", None
     if e2[0] > 0 and np.all(e2[1:] == 0) and np.any(e1 > 0):
@@ -311,7 +314,7 @@ def cmd_plotdata(args):
             fh.write("%.12g,%.12g,%.12g\n" % (ev.t, cum1, cum2))
         fh.write("%.12g,%.12g,%.12g\n" % (profile.horizon, cum1, cum2))
 
-    l = profile._arrays.lengths
+    l = _node_arrays(profile, SOURCE)[1]
     eps = epochs(profile)
     with open(paths["consumed"], "w") as fh:
         fh.write("t_s,consumed_source_J,consumed_relay_J\n")

@@ -207,9 +207,8 @@ def solve_proportional(ch, profile, gamma):
     if detected is None or not math.isclose(detected, gamma, rel_tol=1e-9):
         raise ValueError("profile is not proportional with gamma=%r (detected %r)"
                          % (gamma, detected))
-    arrays = profile._arrays
-    bp = staircase(arrays.times.tolist() + [profile.horizon],
-                   arrays.e_source.tolist())
+    times, _, e, _ = _node_arrays(profile, SOURCE)
+    bp = staircase(times.tolist() + [profile.horizon], e.tolist())
     p1 = np.array(segment_powers(bp, profile.n_epochs), dtype=float)
     p2 = gamma * p1
     relay_assisted = ch.a > 1.0 and (ch.a * ch.a - 1.0) >= gamma
@@ -218,7 +217,7 @@ def solve_proportional(ch, profile, gamma):
 
 
 def _single_battery_power(profile, node):
-    e = _node_arrays(profile, node)[0]
+    e = _node_arrays(profile, node)[2]
     bad = [i for i in range(len(e)) if e[i] > 0 and i > 0]
     if e[0] <= 0 or bad:
         raise ValueError(
@@ -239,10 +238,9 @@ def _single_harvester(ch, profile, node):
     if cap <= 0.0:
         p = np.zeros(n)
     else:
-        times = profile._arrays.times.tolist() + [profile.horizon]
-        e = _node_arrays(profile, node)[0].tolist()
-        p = np.minimum(np.array(segment_powers(staircase(times, e), n),
-                                dtype=float), cap)
+        times, _, e, _ = _node_arrays(profile, node)
+        bp = staircase(times.tolist() + [profile.horizon], e.tolist())
+        p = np.minimum(np.array(segment_powers(bp, n), dtype=float), cap)
     flat = np.full(n, P)
     p1, p2 = (p, flat) if node == SOURCE else (flat, p)
     # weight 1 exactly where capacity_min selects the multi-access branch

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import active_rate, weighted_rate_grad
-from .profile import require_valid
+from .profile import RELAY, SOURCE, _node_arrays, require_valid
 from .solver import Allocation, evaluate_schedule
 
 __all__ = [
@@ -325,8 +325,8 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
     including each accepted one, and all of them in a batch with no
     improving move.
     """
-    arrays = profile._arrays
-    l, c1, c2 = arrays.lengths, arrays.caps_source, arrays.caps_relay
+    _, l, _, c1 = _node_arrays(profile, SOURCE)
+    c2 = _node_arrays(profile, RELAY)[3]
     x1 = np.array(p1, dtype=float)
     x2 = np.array(p2, dtype=float)
     best = float(_row_totals(ch, l, x1, x2))
@@ -381,7 +381,7 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
 def _slack_bound(ch, profile, p1, p2, spacing1, spacing2):
     """Lipschitz-style optimality slack: analytic rate derivative at the
     incumbent times the final grid spacing, epoch-length weighted."""
-    l = profile._arrays.lengths
+    l = _node_arrays(profile, SOURCE)[1]
     branch = (ch.a > 1.0) & ((ch.a ** 2 - 1.0) * p1 >= p2)
     lam = branch.astype(float) if ch.a > 1.0 else np.zeros_like(p1)
     d1, d2 = weighted_rate_grad(ch, np.maximum(p1, 1e-12),
@@ -402,8 +402,8 @@ def grid_search(ch, profile, grid=None):
     """
     grid = grid or GridConfig()
     require_valid(profile, allow_degenerate=True)
-    arrays = profile._arrays
-    l, c1, c2 = arrays.lengths, arrays.caps_source, arrays.caps_relay
+    t, l, _, c1 = _node_arrays(profile, SOURCE)
+    c2 = _node_arrays(profile, RELAY)[3]
     n = len(l)
 
     nominal = float(grid.points_per_dim) ** (2 * n)
@@ -416,7 +416,7 @@ def grid_search(ch, profile, grid=None):
         return GridResult(allocation=alloc, total_bits=total, slack=0.0,
                           evaluations=0)
 
-    times = np.concatenate([arrays.times, [profile.horizon]])
+    times = np.concatenate([t, [profile.horizon]])
     corners1 = _slope_corners(times, c1)
     corners2 = _slope_corners(times, c2)
     from .closed_form import relay_saturation_power

@@ -109,8 +109,8 @@ class HarvestProfile:
     events and horizon are frozen, so everything derived from them is
     computed once per profile: the invariant check and the arrays of
     :class:`_ProfileArrays`, which the solvers, the closed forms, the
-    oracle and the command line read without copying.  Those arrays are
-    read-only; the public accessors (times, e_source, e_relay,
+    oracle and the command line read without copying, through
+    :func:`_node_arrays`.  Those arrays are read-only; the public accessors (times, e_source, e_relay,
     :func:`epoch_lengths`, :func:`cumulative_energies`) return fresh,
     writable copies.
     """
@@ -254,12 +254,14 @@ def epoch_lengths(profile):
 
 
 def _node_arrays(profile, node):
-    """(event energies, cumulative caps) of node, read-only."""
+    """(event times, epoch lengths, event energies, cumulative caps) of
+    node: the profile's cached arrays, read-only and shared.  Other modules
+    read the cache through this function alone."""
     arrays = profile._arrays
     if node == SOURCE:
-        return arrays.e_source, arrays.caps_source
+        return arrays.times, arrays.lengths, arrays.e_source, arrays.caps_source
     if node == RELAY:
-        return arrays.e_relay, arrays.caps_relay
+        return arrays.times, arrays.lengths, arrays.e_relay, arrays.caps_relay
     raise ValueError("node must be %r or %r, got %r" % (SOURCE, RELAY, node))
 
 
@@ -268,12 +270,12 @@ def cumulative_energy(profile, node, k):
     n = profile.n_epochs
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, %d], got %r" % (n, k))
-    return float(_node_arrays(profile, node)[0][:k].sum())
+    return float(_node_arrays(profile, node)[2][:k].sum())
 
 
 def cumulative_energies(profile, node):
     """Vector of the prefix-k bounds for k = 1..K+1."""
-    return _node_arrays(profile, node)[1].copy()
+    return _node_arrays(profile, node)[3].copy()
 
 
 def proportionality(profile, rtol=PROPORTIONALITY_RTOL):

@@ -62,7 +62,7 @@ from .capacity import (
     weighted_rate,
     weighted_rate_grad,
 )
-from .profile import RELAY, SOURCE, ProfileError, require_valid
+from .profile import RELAY, SOURCE, ProfileError, _node_arrays, require_valid
 
 FEASIBILITY_RTOL = 1e-9
 # Armijo sufficient-increase slope and backtracking factor of the inner ascent
@@ -218,11 +218,11 @@ def _prefix_matrix(lengths):
     return np.tril(np.ones((n, n))) * lengths[None, :]
 
 
-def _caps(profile):
-    """Cumulative harvests (c1, c2) of source and relay, prefix k = 1..K+1,
-    from the profile's read-only cache."""
-    arrays = profile._arrays
-    return arrays.caps_source, arrays.caps_relay
+def _lengths_caps(profile):
+    """Epoch lengths and the cumulative harvests (c1, c2) of source and
+    relay, prefix k = 1..K+1, from the profile's read-only cache."""
+    _, l, _, c1 = _node_arrays(profile, SOURCE)
+    return l, (c1, _node_arrays(profile, RELAY)[3])
 
 
 def _spends(alloc, l):
@@ -232,8 +232,8 @@ def _spends(alloc, l):
 
 def feasibility_violations(profile, alloc, rtol=FEASIBILITY_RTOL):
     """Human-readable list of violated prefix constraints (empty if feasible)."""
-    return _violations(alloc, _caps(profile),
-                       _spends(alloc, profile._arrays.lengths), rtol)
+    l, caps = _lengths_caps(profile)
+    return _violations(alloc, caps, _spends(alloc, l), rtol)
 
 
 def _violations(alloc, caps, spends, rtol=FEASIBILITY_RTOL):
@@ -258,11 +258,10 @@ def _feasible(profile, alloc):
     """(epoch lengths, caps, spends) of alloc once the profile is valid and
     alloc feasible; FeasibilityError lists every violated prefix."""
     require_valid(profile, allow_degenerate=True)
-    l = profile._arrays.lengths
+    l, caps = _lengths_caps(profile)
     if alloc.p1.shape != l.shape:
         raise ValueError("allocation has %d epochs, profile has %d"
                          % (alloc.p1.size, l.size))
-    caps = _caps(profile)
     spends = _spends(alloc, l)
     violations = _violations(alloc, caps, spends)
     if violations:
@@ -410,9 +409,9 @@ def kkt_residual(ch, profile, alloc, duals, lam):
 
     Computed from scratch; shares nothing with the solver iterations.
     """
-    l = profile._arrays.lengths
+    l, caps = _lengths_caps(profile)
     lam = np.asarray(lam, dtype=float)
-    caps, spends = _caps(profile), _spends(alloc, l)
+    spends = _spends(alloc, l)
     grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
     return _kkt_report(l, _nodes(alloc, caps, spends), duals, grads)
 
@@ -438,16 +437,10 @@ def _kkt_report(l, nodes, duals, grads):
     slackness = (float(np.abs(slack_products).max()) if slack_products.size
                  else 0.0)
 
-    primal = (slack1, slack2, -p1, -p2)
-    mults = (duals.xi, duals.mu, duals.vartheta, duals.eta)
-    feas = float(np.concatenate(primal).max())
-    dual_min = float(np.concatenate(mults).min())
-    if feas != feas or dual_min != dual_min or not all(v.size for v in primal + mults):
-        # NaN or an empty part: reduce part by part, in the order in which
-        # Python's max and min then pass over NaN part extrema
-        feas = max(float(np.max(v)) for v in primal)
-        dual_min = min(0.0, *(float(np.min(v)) for v in mults))
-    feasibility = max(0.0, feas, -min(0.0, dual_min))
+    feas = max(float(np.max(v)) for v in (slack1, slack2, -p1, -p2))
+    dual_neg = -min(0.0, *(float(np.min(v)) for v in
+                           (duals.xi, duals.mu, duals.vartheta, duals.eta)))
+    feasibility = max(0.0, feas, dual_neg)
     return KktReport(stationarity=stationarity, slackness=slackness,
                      feasibility=feasibility)
 
@@ -461,9 +454,9 @@ def recover_duals(ch, profile, alloc, lam, active_tol=None):
     stationarity residual subject to dual feasibility.  scipy.optimize is
     imported by the first fit, not with this module.
     """
-    l = profile._arrays.lengths
+    l, caps = _lengths_caps(profile)
     lam = np.asarray(lam, dtype=float)
-    caps, spends = _caps(profile), _spends(alloc, l)
+    spends = _spends(alloc, l)
     grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
     return _fit_duals(l, _nodes(alloc, caps, spends), grads, active_tol)
 
@@ -506,14 +499,13 @@ def _warm_start(profile):
     """Each node's staircase powers, zero for a node that never harvests
     (skipped before :func:`closed_form.staircase` could warn about it)."""
     from .closed_form import staircase, segment_powers
-    arrays = profile._arrays
-    times = arrays.times.tolist() + [profile.horizon]
     p = []
-    for e in (arrays.e_source, arrays.e_relay):
+    for node in (SOURCE, RELAY):
+        times, _, e, _ = _node_arrays(profile, node)
         if not e.any():
             p.append(np.zeros(profile.n_epochs))
             continue
-        bp = staircase(times, e.tolist())
+        bp = staircase(times.tolist() + [profile.horizon], e.tolist())
         p.append(np.array(segment_powers(bp, profile.n_epochs), dtype=float))
     return p[0], p[1]
 
@@ -527,10 +519,9 @@ class _InnerProblem:
         self.ch = ch
         self.profile = profile
         self.lam = np.asarray(lam, dtype=float)
-        self.l = profile._arrays.lengths
+        self.l, (self.c1, self.c2) = _lengths_caps(profile)
         self.n = len(self.l)
         self.M = _prefix_matrix(self.l)
-        self.c1, self.c2 = _caps(profile)
         self.scale = max(1.0, float(self.c1[-1]), float(self.c2[-1]))
         self.grad_calls = 0
 
@@ -933,9 +924,8 @@ def solve_minmax(ch, profile, cfg=None):
     if waived:
         warn.append("degenerate profile: " + "; ".join(waived))
         _warnings.warn(warn[0])
-    l = profile._arrays.lengths
+    l, (c1, c2) = _lengths_caps(profile)
     n = profile.n_epochs
-    c1, c2 = _caps(profile)
     lam = np.full(n, 1.0 if ch.a > 1.0 else 0.0)
     k = ch.a ** 2 - 1.0
 
@@ -1064,8 +1054,7 @@ def invariant_report(ch, profile, alloc, stored_rates=None, stored_total=None,
       prefix at the change instant is tight;
     * stored per-epoch rates / total bits match recomputed values.
     """
-    l = profile._arrays.lengths
-    c1, c2 = _caps(profile)
+    l, (c1, c2) = _lengths_caps(profile)
     results = []
 
     viol = feasibility_violations(profile, alloc)

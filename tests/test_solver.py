@@ -449,13 +449,14 @@ class TestFastPathsMatchFullCode:
         return Allocation(p1=p[0], p2=p[1])
 
     def test_violations(self):
-        from ehrelay.solver import _caps, _spends, _violations
+        from ehrelay.solver import _lengths_caps, _spends, _violations
         rng = np.random.default_rng(41)
         seen_empty = seen_found = False
         for _ in range(400):
             prof = self._profile(rng)
             alloc = self._powers(rng, prof)
-            args = (alloc, _caps(prof), _spends(alloc, epoch_lengths(prof)))
+            l, caps = _lengths_caps(prof)
+            args = (alloc, caps, _spends(alloc, l))
             got = _any_outcome(_violations, *args)
             assert got == _any_outcome(_violations_reference, *args)
             seen_empty |= got == ()
