@@ -437,8 +437,8 @@ def _kkt_report(l, nodes, duals, grads):
     slackness = (float(np.abs(slack_products).max()) if slack_products.size
                  else 0.0)
 
-    feas = max(float(np.max(v)) for v in (slack1, slack2, -p1, -p2))
-    dual_neg = -min(0.0, *(float(np.min(v)) for v in
+    feas = max(float(v.max()) for v in (slack1, slack2, -p1, -p2))
+    dual_neg = -min(0.0, *(float(v.min()) for v in
                            (duals.xi, duals.mu, duals.vartheta, duals.eta)))
     feasibility = max(0.0, feas, dual_neg)
     return KktReport(stationarity=stationarity, slackness=slackness,
