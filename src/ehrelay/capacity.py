@@ -211,16 +211,23 @@ def capacity_min(ch, p1, p2):
     return RateBranch(BROADCAST, ma, float(bc))
 
 
+def _active_rate(ch, p1, p2):
+    """Active cut bound of finite nonnegative power arrays, unchecked.
+
+    :func:`active_rate` evaluates here after its argument checks; callers
+    whose powers are valid by construction call it directly.
+    """
+    if ch.a <= 1.0:
+        return _branch_rates(ch, p1, None)[1] + 0.0 * p2
+    ma, bc = _branch_rates(ch, p1, p2)
+    return np.where((ch.a * ch.a - 1.0) * p1 >= p2, ma, bc)
+
+
 def active_rate(ch, p1, p2):
     """Vectorized active cut bound (the rate actually achieved)."""
     p1a = _as_power(p1, "p1")
     p2a = _as_power(p2, "p2")
-    if ch.a <= 1.0:
-        bc = _branch_rates(ch, p1a, None)[1]
-        return _maybe_scalar(np.broadcast_arrays(bc + 0.0 * p2a)[0], p1, p2)
-    ma, bc = _branch_rates(ch, p1a, p2a)
-    cond = (ch.a * ch.a - 1.0) * p1a >= p2a
-    return _maybe_scalar(np.where(cond, ma, bc), p1, p2)
+    return _maybe_scalar(_active_rate(ch, p1a, p2a), p1, p2)
 
 
 def _weighted_args(ch, p1, p2, lam):

@@ -179,20 +179,25 @@ def relay_saturation_power(ch, p_source):
         p* = (a^2-1) * a^2 * P / (b^2 * (b^2 + a^2 - 1))
 
     capped at the branch-condition boundary (a^2-1)*P; for b = 1 the two
-    coincide and the rate meets C(a^2*P/N) there.
+    coincide and the rate meets C(a^2*P/N) there.  Elementwise over an array
+    of source powers (0 where P <= 0); a scalar P returns a float.
     """
     a, b = ch.a, ch.b
-    if a <= 1.0 or p_source <= 0.0:
-        return 0.0
-    boundary = (a * a - 1.0) * p_source
-    interior = (a * a - 1.0) * a * a * p_source / (b * b * (b * b + a * a - 1.0))
-    psat = min(boundary, interior)
-    # if the flat branch beyond the boundary is strictly better (possible for
-    # b != 1 where the two branches do not meet), saturate just beyond it
-    just_past = np.nextafter(boundary, np.inf)
-    if active_rate(ch, p_source, just_past) > active_rate(ch, p_source, psat):
-        return float(just_past)
-    return float(psat)
+    P = np.asarray(p_source, dtype=float)
+    if a <= 1.0:
+        out = np.zeros(P.shape)
+    else:
+        Q = np.maximum(P, 0.0)
+        boundary = (a * a - 1.0) * Q
+        interior = (a * a - 1.0) * a * a * Q / (b * b * (b * b + a * a - 1.0))
+        psat = np.minimum(boundary, interior)
+        # if the flat branch beyond the boundary is strictly better (possible
+        # for b != 1 where the two branches do not meet), saturate just
+        # beyond it
+        just_past = np.nextafter(boundary, np.inf)
+        past = active_rate(ch, Q, just_past) > active_rate(ch, Q, psat)
+        out = np.where(P > 0.0, np.where(past, just_past, psat), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def solve_proportional(ch, profile, gamma):

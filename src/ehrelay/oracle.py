@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import active_rate, weighted_rate_grad
+from .capacity import _active_rate, active_rate, weighted_rate_grad
 from .profile import RELAY, SOURCE, _node_arrays, require_valid
 from .solver import Allocation, evaluate_schedule
 
@@ -115,6 +115,19 @@ def _enumerate_feasible(grids, lengths, caps, tol):
     return tuples
 
 
+def _descending(ub):
+    """Indices of ub by descending value, ties by ascending index: the order
+    of a stable sort, from numpy's faster unstable one.  Only when ub has
+    ties are the runs of equal values re-sorted by index."""
+    order = np.argsort(-ub)
+    key = ub[order]
+    tie = key[1:] == key[:-1]
+    if tie.any():
+        run = np.concatenate([[0], np.cumsum(~tie)])
+        order = order[np.argsort(run * len(ub) + order)]
+    return order
+
+
 def _pair_sweep(tables, idx1, idx2, block=96):
     """Deterministic max over all (row tuple, column tuple) pairs.
 
@@ -124,31 +137,32 @@ def _pair_sweep(tables, idx1, idx2, block=96):
     sweep because the bound is valid.
 
     The pair value is ((T_0 + T_1) + ...) + T_last, summed in epoch order.
-    Columns come in lexicographic order (_enumerate_feasible), so those that
-    share their first n-1 indices (a prefix) form contiguous runs.  The sum A
-    over the first n-1 epochs depends only on the prefix, and fl(A + t) never
-    decreases as t grows, so the maximum over a prefix's columns is exactly
-    fl(A + M), with M the largest T_last entry among them.  The sweep
-    therefore sums A at the distinct prefixes only and adds M, which gives
-    every row maximum as the same float as the full pair matrix.  A row that
-    becomes the incumbent takes the first prefix attaining its maximum and,
-    within it, the first column whose fl(A + T_last) equals it: the first
-    maximum in enumeration order.  evaluations still count every pair.
+    idx2 must be down-closed in its last index, as _enumerate_feasible
+    returns it: columns come in lexicographic order, and within each prefix
+    (the first n-1 indices) the last index runs 0, 1, ..., k.  So the
+    prefixes start where the last index is 0.  The sum A over the first n-1
+    epochs depends only on the prefix, and fl(A + t) never decreases as t
+    grows, so the maximum over a prefix's columns is exactly fl(A + M), with
+    M the running maximum of T_last's row up to k.  The sweep gathers each
+    epoch's table at the prefixes once, sums A per row at the prefixes only
+    and adds M, which gives every row maximum as the same float as the full
+    pair matrix.  A row that becomes the incumbent takes the first prefix
+    attaining its maximum and, within it, the first column whose
+    fl(A + T_last) equals it: the first maximum in enumeration order.
+    evaluations still count every pair.
     """
     n = idx1.shape[1]
     rowmax = [t.max(axis=1) for t in tables]
     ub = np.zeros(len(idx1))
     for i in range(n):
         ub += rowmax[i][idx1[:, i]]
-    order = np.argsort(-ub, kind="stable")
-    head = idx2[:, :n - 1]
-    starts = np.flatnonzero(np.concatenate(
-        [[True], np.any(head[1:] != head[:-1], axis=1)]))
-    ends = np.append(starts[1:], len(idx2))
-    prefixes = head[starts]
+    order = _descending(ub)
     last = idx2[:, n - 1]
+    starts = np.flatnonzero(last == 0)
+    ends = np.append(starts[1:], len(idx2))
     t_last = tables[n - 1]
-    M = np.maximum.reduceat(t_last[:, last], starts, axis=1)
+    M = np.maximum.accumulate(t_last, axis=1)[:, last[ends - 1]]
+    heads = [tables[i][:, idx2[starts, i]] for i in range(n - 1)]
     best_val = -np.inf
     best_pair = (0, 0)
     evals = 0
@@ -161,9 +175,9 @@ def _pair_sweep(tables, idx1, idx2, block=96):
         if rows.size == 0:
             continue
         if n > 1:
-            A = tables[0][idx1[rows, 0]][:, prefixes[:, 0]]
+            A = heads[0][idx1[rows, 0]]
             for i in range(1, n - 1):
-                A += tables[i][idx1[rows, i]][:, prefixes[:, i]]
+                A += heads[i][idx1[rows, i]]
             G = A + M[idx1[rows, n - 1]]
         else:
             G = M[idx1[rows, 0]]
@@ -175,7 +189,7 @@ def _pair_sweep(tables, idx1, idx2, block=96):
             if vals[r] > best_val + 1e-15:
                 best_val = vals[r]
                 p = pre_best[r]
-                child = t_last[idx1[rows[r], n - 1], last[starts[p]:ends[p]]]
+                child = t_last[idx1[rows[r], n - 1], :ends[p] - starts[p]]
                 if n > 1:
                     child = A[r, p] + child
                 best_pair = (int(rows[r]),
@@ -184,8 +198,11 @@ def _pair_sweep(tables, idx1, idx2, block=96):
 
 
 def _row_totals(ch, l, p1, p2):
-    """Throughput of each schedule row of p1 and p2 (broadcast together)."""
-    return np.sum(l * active_rate(ch, p1, p2), axis=-1)
+    """Throughput of each schedule row of p1 and p2 (broadcast together).
+
+    The rows are summed from a C-ordered array, so each row is summed as it
+    would be alone, whatever the memory layout of p1 and p2."""
+    return np.sum(np.ascontiguousarray(l * _active_rate(ch, p1, p2)), axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,20 +224,26 @@ def _sweep_layout(n):
     return layout
 
 
-def _sweep_moves(x, S, lengths, caps, i0, rest):
-    """Points reached by the moves left in one node's sweep, all taken from x,
-    at every step level: row j of S holds the steps of level j.
+def _sweep_moves(points, k, S, lengths, caps, tol, i0, rest):
+    """Schedule pairs reached by the moves left in node k's sweep, all taken
+    from points = (x1, x2), at every step level: row j of S holds the steps
+    of level j.
 
     The sweep is the coordinate moves of coordinates 0..n-1 followed by the
     exchange moves; position i >= n is exchange move i - n.  Coordinate i
     tries x_i + s_i, x_i - s_i and then the values that make some prefix
-    k >= i exactly tight.  The sweep resumes at position i0, where rest,
+    k' >= i exactly tight.  The sweep resumes at position i0, where rest,
     unless None, holds coordinate i0's remaining candidate values.
 
-    Returns (Y, ok, after): Y[j, p] is the point of move p at level j, ok
-    marks the moves that set no power negative, and after(j, p) is the
-    (i0, rest) position that follows move p at level j.
+    Returns (Z, ok, after): Z[:, :, j, p] holds the (source, relay) powers
+    after move p at level j, which replaces points[k] and keeps the other
+    node's point; ok marks the feasible moves, those that set no power
+    negative and keep every prefix of node k within caps + tol; and
+    after(j, p) is the (i0, rest) position that follows move p at level j.
+    Coordinates come first in Z so that every array operation here runs
+    along the long move axis.
     """
+    x = points[k]
     n = len(x)
     levels = len(S)
     slot_col, fixed, pi, pj, sign = _sweep_layout(n)
@@ -246,12 +269,15 @@ def _sweep_moves(x, S, lengths, caps, i0, rest):
     vi = x[pi] + d / lengths[pi]
     vj = x[pj] - d / lengths[pj]
     m = len(col)
-    Y = np.empty((levels, m + len(pi), n))
-    Y[:] = x
-    Y[:, np.arange(m), col] = V
-    Y[:, m + np.arange(len(pi)), pi] = vi
-    Y[:, m + np.arange(len(pi)), pj] = vj
+    Z = np.empty((2, n, levels, m + len(pi)))
+    Z[:] = np.asarray(points)[:, :, None, None]
+    Y = Z[k]
+    Y[col, :, np.arange(m)] = V.T
+    Y[pi, :, m + np.arange(len(pi))] = vi.T
+    Y[pj, :, m + np.arange(len(pi))] = vj.T
     ok = np.concatenate([~(V < 0.0), ~((vi < 0.0) | (vj < 0.0))], axis=1)
+    ok &= np.all(np.cumsum(Y * lengths[:, None, None], axis=0)
+                 <= (caps + tol)[:, None, None], axis=0)
     end = np.searchsorted(col, col, side="right")
 
     def after(j, p):
@@ -259,41 +285,33 @@ def _sweep_moves(x, S, lengths, caps, i0, rest):
             return int(col[p]), V[j, p + 1:end[p]]
         return n + e0 + (p - m) + 1, None
 
-    return Y, ok, after
+    return Z, ok, after
 
 
-def _first_gain(ch, l, tol, points, caps, blocks, best):
-    """Score every feasible move of blocks in one active_rate call.
+def _first_gain(ch, l, blocks, best):
+    """Score every feasible move of blocks in one rate call.
 
-    blocks holds (node, Y, ok, after) tuples from _sweep_moves with the same
-    number of levels; a move of node k replaces points[k] and keeps the other
-    node's point.  The moves are taken level by level, and within a level
-    block by block.  Returns (count, hit): count is the number of feasible
-    moves up to and including the first that beats best by more than 1e-15,
-    or all of them if none does, and hit is that move's (level, block, move,
-    value), or None.
+    blocks holds (node, Z, ok, after) tuples from _sweep_moves with the same
+    number of levels.  The moves are taken level by level, and within a
+    level block by block.  Returns (count, hit): count is the number of
+    feasible moves up to and including the first that beats best by more
+    than 1e-15, or all of them if none does, and hit is that move's (level,
+    block, move, value), or None.
     """
-    n = len(l)
-    Y = np.concatenate([b[1] for b in blocks], axis=1)
-    node = np.concatenate([np.full(b[1].shape[1], b[0]) for b in blocks])
-    cap = np.where(node[:, None] == 0, caps[0], caps[1])
-    ok = np.concatenate([b[2] for b in blocks], axis=1)
-    ok &= np.all(np.cumsum(Y * l, axis=2) <= cap + tol, axis=2)
-    idx = np.flatnonzero(ok)
+    Z = np.concatenate([b[1] for b in blocks], axis=3)
+    idx = np.flatnonzero(np.concatenate([b[2] for b in blocks], axis=1))
     if idx.size == 0:
         return 0, None
-    moved = Y.reshape(-1, n)[idx]
-    first = np.tile(node == 0, len(Y))[idx, None]
-    vals = _row_totals(ch, l, np.where(first, moved, points[0]),
-                       np.where(first, points[1], moved))
+    P = Z.reshape(2, len(l), -1)[:, :, idx]
+    vals = _row_totals(ch, l, P[0].T, P[1].T)
     hit = np.flatnonzero(vals > best + 1e-15)
     if hit.size == 0:
         return len(vals), None
     r = int(hit[0])
-    j, p = divmod(int(idx[r]), Y.shape[1])
+    j, p = divmod(int(idx[r]), Z.shape[3])
     b = 0
-    while p >= blocks[b][1].shape[1]:
-        p -= blocks[b][1].shape[1]
+    while p >= blocks[b][1].shape[3]:
+        p -= blocks[b][1].shape[3]
         b += 1
     return r + 1, (j, b, p, float(vals[r]))
 
@@ -348,9 +366,10 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
             levels += 1
         halve = np.full((levels - 1, len(l)), 0.5)
         S = [np.cumprod(np.vstack([s, halve]), axis=0) for s in steps]
-        blocks = [(k,) + _sweep_moves(points[k], S[k], l, caps[k], 0, None)
+        blocks = [(k,) + _sweep_moves(points, k, S[k], l, caps[k], tol, 0,
+                                      None)
                   for k in (0, 1)]
-        count, hit = _first_gain(ch, l, tol, points, caps, blocks, best)
+        count, hit = _first_gain(ch, l, blocks, best)
         evals += count
         if hit is None:
             steps = (S[0][-1] * 0.5, S[1][-1] * 0.5)
@@ -363,14 +382,13 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
         # finish the sweep at the hit's level, one batch at a time
         while hit is not None:
             j, b, p, best = hit
-            k, Y, _, after = blocks[b]
-            points[k][:] = Y[j, p]
+            k, Z, _, after = blocks[b]
+            points[k][:] = Z[k, :, j, p]
             pos = after(j, p)
             for k in range(k, 2):
-                blocks = [(k,) + _sweep_moves(points[k], steps[k][None], l,
-                                              caps[k], *pos)]
-                count, hit = _first_gain(ch, l, tol, points, caps, blocks,
-                                         best)
+                blocks = [(k,) + _sweep_moves(points, k, steps[k][None], l,
+                                              caps[k], tol, *pos)]
+                count, hit = _first_gain(ch, l, blocks, best)
                 evals += count
                 if hit is not None:
                     break
@@ -420,8 +438,8 @@ def grid_search(ch, profile, grid=None):
     corners1 = _slope_corners(times, c1)
     corners2 = _slope_corners(times, c2)
     from .closed_form import relay_saturation_power
-    sat = {relay_saturation_power(ch, v) for v in corners1 if v > 0.0}
-    corners2 = corners2 | {v for v in sat if v > 0.0}
+    sat = relay_saturation_power(ch, np.fromiter(corners1, float))
+    corners2 = corners2 | set(sat[sat > 0.0].tolist())
 
     hi1 = c1 / l
     hi2 = c2 / l

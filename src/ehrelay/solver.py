@@ -711,7 +711,7 @@ def solve_inner(ch, profile, lam, cfg=None, warm=None):
         clamp_active = (s1 < 0.0) & (lam > 1e-9)
         if np.any(clamp_active):
             from .closed_form import relay_saturation_power
-            cap = np.array([relay_saturation_power(ch, v) for v in p1])
+            cap = relay_saturation_power(ch, p1)
             alt0 = prob.project(np.concatenate([p1, np.minimum(p2, cap)]))
         else:
             _, w2 = _warm_start(profile)

@@ -454,3 +454,36 @@ class TestArgumentChecksMatchFullCheck:
             seen["clamped"] |= bool(np.any((p1 > 0.0) & (p2 > a * a * p1)))
             seen["flat"] |= bool(np.any((p1 > 0.0) & (p2 == 0.0)))
         assert all(seen.values()), seen
+
+
+class TestActiveRateKernel:
+    @pytest.mark.parametrize("a, b", [(0.7, 1.0), (1.0, 1.0), (1.8, 1.0),
+                                      (2.4, 0.6)])
+    def test_kernel_equals_public_float_for_float(self, a, b):
+        # p1 = 0, clamped radicands (p2 > a^2*p1), points on the branch
+        # boundary p2 = (a^2-1)*p1, 0-d and broadcast arguments
+        from ehrelay.capacity import _active_rate
+        ch = ChannelParams(a=a, b=b, noise=0.8)
+        rng = np.random.default_rng(int(100 * a + 10 * b))
+        seen = dict(zero=False, clamped=False, boundary=False)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            p1 = rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.8)
+            p2 = rng.uniform(0.0, 5.0, n)
+            pick = rng.random(n)
+            p2 = np.where(pick < 0.3, (a * a - 1.0) * p1, p2)
+            p2 = np.where(pick > 0.8, a * a * p1 * rng.uniform(1.0, 3.0, n),
+                          p2)
+            p2 = np.maximum(p2, 0.0)
+            for x, y in [(p1, p2), (p1[0], p2[0]), (p1[:, None], p2[None, :])]:
+                got = _active_rate(ch, np.asarray(x), np.asarray(y))
+                assert isinstance(got, np.ndarray) or np.ndim(x) == 0
+                assert _exact(np.asarray(got)) == _exact(
+                    np.asarray(active_rate(ch, x, y))), (x, y)
+            seen["zero"] |= bool(np.any(p1 == 0.0))
+            seen["clamped"] |= bool(np.any((p1 > 0.0) & (p2 > a * a * p1)))
+            seen["boundary"] |= bool(np.any((p1 > 0.0)
+                                            & (p2 == (a * a - 1.0) * p1)))
+        # the boundary lies at p2 >= 0 only for a >= 1
+        want = {"zero", "clamped"} | ({"boundary"} if a >= 1.0 else set())
+        assert want <= {k for k, v in seen.items() if v}, seen

@@ -212,6 +212,20 @@ class TestRelaySaturation:
         ch = ChannelParams(a=0.9, b=1.0, noise=1.0)
         assert relay_saturation_power(ch, 1.0) == 0.0
 
+    @pytest.mark.parametrize("a, b", [(0.8, 1.0), (1.0, 1.0), (1.6, 1.0),
+                                      (2.5, 1.0), (1.6, 0.7), (2.5, 1.3)])
+    def test_array_equals_scalar_map(self, a, b):
+        ch = ChannelParams(a=a, b=b, noise=0.9)
+        rng = np.random.default_rng(int(100 * a + 10 * b))
+        P = np.concatenate([[0.0, -0.0, 1e-300], rng.uniform(0.0, 9.0, 40)])
+        got = relay_saturation_power(ch, P)
+        want = [relay_saturation_power(ch, float(p)) for p in P]
+        assert all(type(w) is float for w in want)
+        assert got.dtype == np.float64 and got.shape == P.shape
+        assert got.tobytes() == np.array(want).tobytes()
+        assert relay_saturation_power(ch, P[:, None]).shape == (len(P), 1)
+        assert relay_saturation_power(ch, np.array([])).shape == (0,)
+
 
 class TestSolveRelayOnly:
     def test_abundant_energy_capped(self):

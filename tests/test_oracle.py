@@ -209,6 +209,33 @@ def _prefix_ordered(rng, sizes, keep):
     return full[rng.random(len(full)) < keep]
 
 
+def _down_closed(rng, sizes, keep):
+    """Random index tuples in lexicographic order, down-closed in the last
+    index as _enumerate_feasible returns them: each kept prefix of the first
+    n-1 indices holds the last indices 0..k for a random cutoff k."""
+    rows = [head + (j,)
+            for head in map(tuple, _prefix_ordered(rng, sizes[:-1], keep))
+            for j in range(int(rng.integers(0, sizes[-1])) + 1)]
+    return np.array(rows, dtype=np.int32).reshape(-1, len(sizes))
+
+
+def _assert_down_closed(idx, grids, lengths, caps, tol):
+    """idx is every prefix-feasible tuple of the grids, in lexicographic
+    order, and each prefix's last indices run 0, 1, ..., k."""
+    want = [c for c in itertools.product(*[range(len(g)) for g in grids])
+            if np.all(np.cumsum([g[i] * lengths[k] for k, (g, i)
+                                 in enumerate(zip(grids, c))])
+                      <= caps + tol)]
+    assert idx.dtype == np.int32
+    assert [tuple(r) for r in idx.tolist()] == want
+    last = idx[:, -1]
+    starts = np.flatnonzero(last == 0)
+    assert len(idx) == 0 or starts[0] == 0
+    for s, e in zip(starts, np.append(starts[1:], len(idx))):
+        assert np.array_equal(last[s:e], np.arange(e - s))
+        assert np.all(idx[s:e, :-1] == idx[s, :-1])
+
+
 def _random_tables(rng, g1, g2, kind):
     """Per-epoch pair tables: continuous values, a few repeated values (exact
     ties), or a large first epoch whose sums round distinct last-epoch
@@ -243,7 +270,7 @@ class TestExactAgreement:
             g2 = rng.integers(2, 7, n)
             tables = _random_tables(rng, g1, g2, kind)
             idx1 = _prefix_ordered(rng, g1, 0.6)
-            idx2 = _prefix_ordered(rng, g2, 0.6)
+            idx2 = _down_closed(rng, g2, 0.6)
             if len(idx1) == 0 or len(idx2) == 0:
                 continue
             idx1 = idx1[rng.permutation(len(idx1))]
@@ -251,6 +278,46 @@ class TestExactAgreement:
                 got = oracle._pair_sweep(tables, idx1, idx2, block=block)
                 want = _ref_pair_sweep(tables, idx1, idx2, block=block)
                 assert got == want, (trial, block)
+
+    def test_enumerate_feasible_is_down_closed(self):
+        # grids built as grid_search builds them: full boxes, refined boxes
+        # with lo > 0, and nodes without energy in some or all epochs
+        rng = np.random.default_rng(11)
+        tol = 1e-12
+        seen = dict(refined=False, empty_epoch=False, no_energy=False)
+        for trial in range(60):
+            n = int(rng.integers(1, 4))
+            lengths = rng.uniform(0.5, 3.0, n)
+            e = rng.uniform(0.5, 8.0, n) * (rng.random(n) < 0.7)
+            if trial % 10 == 0:
+                e[:] = 0.0
+            caps = np.cumsum(e)
+            hi = caps / lengths
+            lo = np.zeros(n)
+            if trial % 3 == 1:
+                lo = hi * rng.uniform(0.0, 0.6, n)
+                seen["refined"] |= bool(np.any(lo > 0.0))
+            corners = set(rng.uniform(0.0, max(hi.max(), 1.0), 4).tolist())
+            grids = [oracle._dim_grid(lo[i], hi[i], int(rng.integers(2, 6)),
+                                      corners, []) for i in range(n)]
+            idx = oracle._enumerate_feasible(grids, lengths, caps, tol)
+            _assert_down_closed(idx, grids, lengths, caps, tol)
+            seen["empty_epoch"] |= bool(np.any(e == 0.0))
+            seen["no_energy"] |= bool(caps[-1] == 0.0)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("n", [1, 3, 9, 17])
+    def test_row_totals_sum_each_row_alone(self, n):
+        # the polish passes coordinate-major (transposed) rows; numpy sums
+        # rows of 9 or more entries in a layout-dependent order
+        rng = np.random.default_rng(n)
+        ch = ChannelParams(a=1.7, b=1.0, noise=0.8)
+        l = rng.uniform(0.5, 3.0, n)
+        p1 = rng.uniform(0.0, 5.0, (n, 40)) * np.exp(rng.normal(0, 6, (n, 40)))
+        p2 = rng.uniform(0.0, 5.0, (n, 40))
+        got = oracle._row_totals(ch, l, p1.T, p2.T)
+        want = [oracle._row_totals(ch, l, x, y) for x, y in zip(p1.T, p2.T)]
+        assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_polish_matches_one_move_at_a_time(self, k):
