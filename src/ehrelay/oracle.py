@@ -14,15 +14,20 @@ Both hot loops return exactly the floats of the plain one-at-a-time forms
 (kept as references in tests/test_oracle.py).  The pair sweep sums the
 epochs before the last only once per distinct column prefix and adds the
 prefix's largest last-epoch entry; rounding is monotone, so each row maximum
-is the same float as in the full pair matrix.  The pattern polish starts
-each sweep by scoring, in one rate call, the moves of every step level that a
-run of sweeps without improvement could reach.  Such a run keeps the point
-fixed, halving a step is exact, and the stop rule and the sweep cap fix the
-run's length before it starts, so each level holds the very moves of one
-sweep of the run.  The first improving move ends the batch; the polish
-accepts it and finishes that sweep as before: the moves left in a node's
-sweep are scored together and rebuilt from the new point after each
-accepted move.
+is the same float as in the full pair matrix.  The enumeration makes the
+columns down-closed in the last index (grids ascend and epoch lengths are
+positive, so within a prefix the feasible last indices are 0..k), so that
+largest entry is a running maximum of the last epoch's table row, read at
+k.  The pattern polish starts each sweep by scoring, in one rate call, the
+moves of every step level that a run of sweeps without improvement could
+reach.  Such a run keeps the point fixed, halving a step is exact, and the
+stop rule and the sweep cap fix the run's length before it starts, so each
+level holds the very moves of one sweep of the run.  The first improving
+move ends the batch; the polish accepts it and finishes that sweep as
+before: the moves left in a node's sweep are scored together and rebuilt
+from the new point after each accepted move.  The polish rates its moves
+with the unchecked capacity._active_rate: every move it scores is finite
+and nonnegative by construction.
 """
 
 import functools
@@ -98,21 +103,21 @@ def _dim_grid(lo, hi, ppd, corners, extra):
 
 
 def _enumerate_feasible(grids, lengths, caps, tol):
-    """Index tuples (N, n) of all prefix-feasible grid combinations."""
-    n = len(lengths)
-    idx = np.arange(len(grids[0]), dtype=np.int32)
+    """Index tuples (N, n) of all prefix-feasible grid combinations, in
+    lexicographic order.  Each grid ascends and each length is positive, so
+    the total spend never falls as the last index grows: within each prefix
+    of the first n-1 indices the feasible last indices are 0, 1, ..., k."""
     spend = grids[0] * lengths[0]
-    ok = spend <= caps[0] + tol
-    tuples = idx[ok][:, None]
-    spend = spend[ok]
-    for i in range(1, n):
-        add = grids[i] * lengths[i]
-        total = spend[:, None] + add[None, :]
-        ok = total <= caps[i] + tol
-        rows, cols = np.nonzero(ok)
-        tuples = np.concatenate([tuples[rows], cols[:, None].astype(np.int32)], axis=1)
-        spend = total[rows, cols]
-    return tuples
+    cols = [np.flatnonzero(spend <= caps[0] + tol)]
+    spend = spend[cols[0]]
+    for i in range(1, len(lengths)):
+        total = spend[:, None] + grids[i] * lengths[i]
+        flat = np.flatnonzero(total <= caps[i] + tol)
+        rows, last = np.divmod(flat, len(grids[i]))
+        cols = [c[rows] for c in cols] + [last]
+        spend = total.ravel()[flat]
+    # index columns contiguous: the pair sweep reads them one at a time
+    return np.array(cols, dtype=np.int32).T
 
 
 def _descending(ub):
@@ -198,11 +203,8 @@ def _pair_sweep(tables, idx1, idx2, block=96):
 
 
 def _row_totals(ch, l, p1, p2):
-    """Throughput of each schedule row of p1 and p2 (broadcast together).
-
-    The rows are summed from a C-ordered array, so each row is summed as it
-    would be alone, whatever the memory layout of p1 and p2."""
-    return np.sum(np.ascontiguousarray(l * _active_rate(ch, p1, p2)), axis=-1)
+    """Throughput of each schedule row of p1 and p2 (broadcast together)."""
+    return np.sum(l * _active_rate(ch, p1, p2), axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,13 +237,11 @@ def _sweep_moves(points, k, S, lengths, caps, tol, i0, rest):
     k' >= i exactly tight.  The sweep resumes at position i0, where rest,
     unless None, holds coordinate i0's remaining candidate values.
 
-    Returns (Z, ok, after): Z[:, :, j, p] holds the (source, relay) powers
-    after move p at level j, which replaces points[k] and keeps the other
-    node's point; ok marks the feasible moves, those that set no power
-    negative and keep every prefix of node k within caps + tol; and
-    after(j, p) is the (i0, rest) position that follows move p at level j.
-    Coordinates come first in Z so that every array operation here runs
-    along the long move axis.
+    Returns (Z, ok, after): Z[j, p] holds the (source, relay) powers after
+    move p at level j, which replaces points[k] and keeps the other node's
+    point; ok marks the feasible moves, those that set no power negative and
+    keep every prefix of node k within caps + tol; and after(j, p) is the
+    (i0, rest) position that follows move p at level j.
     """
     x = points[k]
     n = len(x)
@@ -269,15 +269,14 @@ def _sweep_moves(points, k, S, lengths, caps, tol, i0, rest):
     vi = x[pi] + d / lengths[pi]
     vj = x[pj] - d / lengths[pj]
     m = len(col)
-    Z = np.empty((2, n, levels, m + len(pi)))
-    Z[:] = np.asarray(points)[:, :, None, None]
-    Y = Z[k]
-    Y[col, :, np.arange(m)] = V.T
-    Y[pi, :, m + np.arange(len(pi))] = vi.T
-    Y[pj, :, m + np.arange(len(pi))] = vj.T
+    Z = np.empty((levels, m + len(pi), 2, n))
+    Z[:] = points
+    Y = Z[:, :, k]
+    Y[:, np.arange(m), col] = V
+    Y[:, m + np.arange(len(pi)), pi] = vi
+    Y[:, m + np.arange(len(pi)), pj] = vj
     ok = np.concatenate([~(V < 0.0), ~((vi < 0.0) | (vj < 0.0))], axis=1)
-    ok &= np.all(np.cumsum(Y * lengths[:, None, None], axis=0)
-                 <= (caps + tol)[:, None, None], axis=0)
+    ok &= np.all(np.cumsum(Y * lengths, axis=2) <= caps + tol, axis=2)
     end = np.searchsorted(col, col, side="right")
 
     def after(j, p):
@@ -298,20 +297,20 @@ def _first_gain(ch, l, blocks, best):
     than 1e-15, or all of them if none does, and hit is that move's (level,
     block, move, value), or None.
     """
-    Z = np.concatenate([b[1] for b in blocks], axis=3)
+    Z = np.concatenate([b[1] for b in blocks], axis=1)
     idx = np.flatnonzero(np.concatenate([b[2] for b in blocks], axis=1))
     if idx.size == 0:
         return 0, None
-    P = Z.reshape(2, len(l), -1)[:, :, idx]
-    vals = _row_totals(ch, l, P[0].T, P[1].T)
+    pairs = Z.reshape(-1, 2, len(l))[idx]
+    vals = _row_totals(ch, l, pairs[:, 0], pairs[:, 1])
     hit = np.flatnonzero(vals > best + 1e-15)
     if hit.size == 0:
         return len(vals), None
     r = int(hit[0])
-    j, p = divmod(int(idx[r]), Z.shape[3])
+    j, p = divmod(int(idx[r]), Z.shape[1])
     b = 0
-    while p >= blocks[b][1].shape[3]:
-        p -= blocks[b][1].shape[3]
+    while p >= blocks[b][1].shape[1]:
+        p -= blocks[b][1].shape[1]
         b += 1
     return r + 1, (j, b, p, float(vals[r]))
 
@@ -383,7 +382,7 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
         while hit is not None:
             j, b, p, best = hit
             k, Z, _, after = blocks[b]
-            points[k][:] = Z[k, :, j, p]
+            points[k][:] = Z[j, p, k]
             pos = after(j, p)
             for k in range(k, 2):
                 blocks = [(k,) + _sweep_moves(points, k, steps[k][None], l,

@@ -306,19 +306,6 @@ class TestExactAgreement:
             seen["no_energy"] |= bool(caps[-1] == 0.0)
         assert all(seen.values()), seen
 
-    @pytest.mark.parametrize("n", [1, 3, 9, 17])
-    def test_row_totals_sum_each_row_alone(self, n):
-        # the polish passes coordinate-major (transposed) rows; numpy sums
-        # rows of 9 or more entries in a layout-dependent order
-        rng = np.random.default_rng(n)
-        ch = ChannelParams(a=1.7, b=1.0, noise=0.8)
-        l = rng.uniform(0.5, 3.0, n)
-        p1 = rng.uniform(0.0, 5.0, (n, 40)) * np.exp(rng.normal(0, 6, (n, 40)))
-        p2 = rng.uniform(0.0, 5.0, (n, 40))
-        got = oracle._row_totals(ch, l, p1.T, p2.T)
-        want = [oracle._row_totals(ch, l, x, y) for x, y in zip(p1.T, p2.T)]
-        assert got.tobytes() == np.array(want).tobytes()
-
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_polish_matches_one_move_at_a_time(self, k):
         # steps log-uniform in [1e-9, 0.5]; a small max_sweeps can stop the
