@@ -180,10 +180,13 @@ def relay_saturation_power(ch, p_source):
 
     capped at the branch-condition boundary (a^2-1)*P; for b = 1 the two
     coincide and the rate meets C(a^2*P/N) there.  Elementwise over an array
-    of source powers (0 where P <= 0); a scalar P returns a float.
+    of source powers (0 where P <= 0); a scalar P returns a float.  A NaN or
+    infinite P raises ValueError.
     """
     a, b = ch.a, ch.b
     P = np.asarray(p_source, dtype=float)
+    if not np.isfinite(P).all():
+        raise ValueError("p_source must be finite")
     if a <= 1.0:
         out = np.zeros(P.shape)
     else:

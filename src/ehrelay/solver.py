@@ -34,9 +34,13 @@ a node with no active constraint skips its NNLS fit, and a point already
 inside its polytope skips the Dykstra sweeps.  Each fast path gives the
 same floats as the full code.
 
-:func:`solve_inner` maximizes the weighted throughput for arbitrary
-per-epoch weights (projected gradient ascent with Dykstra projections and an
-active-face Newton polish); it serves the envelope-convexity checks.
+:func:`solve_inner` maximizes the weighted throughput
+sum_i l_i*[lambda_i*R_ma + (1-lambda_i)*R_bc] for arbitrary per-epoch
+weights lambda_i in [0, 1]; it serves the envelope-convexity checks.  R_bc
+does not depend on p2 and R_ma does not rise in p2 beyond the cone, so for
+every lambda an optimum lies in the cone and the weighted problem is the
+same concave program with a weighted objective.  Both solvers run it
+through one core: start, certificate, SLSQP, face-Newton polish.
 
 scipy is imported where it is called, not with this module, so schedule
 evaluation and checks, the grid oracle and the command-line parser run
@@ -65,9 +69,8 @@ from .capacity import (
 from .profile import RELAY, SOURCE, ProfileError, _node_arrays, require_valid
 
 FEASIBILITY_RTOL = 1e-9
-# Armijo sufficient-increase slope and backtracking factor of the inner ascent
+# Armijo sufficient-increase slope of the face-Newton line search
 ARMIJO_SLOPE = 1e-4
-ARMIJO_SHRINK = 0.5
 
 __all__ = [
     "Allocation",
@@ -191,8 +194,8 @@ class SolverConfig:
 
     tol_inner bounds the KKT residual of a certified schedule and tol_outer
     its min-max gap (certified when the gap is <= 10*tol_outer).
-    max_iter_inner caps the SLSQP iterations of :func:`solve_minmax` and the
-    gradient evaluations of :func:`solve_inner`.  max_iter_outer has no
+    max_iter_inner caps the SLSQP iterations of :func:`solve_minmax` and
+    :func:`solve_inner`.  max_iter_outer has no
     effect on b = 1 solves, which need no outer weight loop; it is accepted
     so that existing configurations keep working.
     """
@@ -492,7 +495,7 @@ def _fit_duals(l, nodes, grads, active_tol=None):
 
 
 # ---------------------------------------------------------------------------
-# Inner solve: projected gradient ascent + active-face Newton polish
+# Staircase start and the active-face Newton polish
 
 
 def _warm_start(profile):
@@ -511,13 +514,15 @@ def _warm_start(profile):
 
 
 class _InnerProblem:
-    """Closures and geometry shared by the ascent loop and the polish."""
+    """The weighted objective sum_i l_i*weighted_rate, its gradient and the
+    causality geometry over the stacked powers x = [p1; p2], for the
+    face-Newton polish.  The cone is not among its constraints: the caller
+    lowers p2 onto it after the polish."""
 
     GRAD_FLOOR = 1e-12
 
     def __init__(self, ch, profile, lam):
         self.ch = ch
-        self.profile = profile
         self.lam = np.asarray(lam, dtype=float)
         self.l, (self.c1, self.c2) = _lengths_caps(profile)
         self.n = len(self.l)
@@ -663,115 +668,11 @@ def _face_newton(prob, x, act_pref, act_zero, max_newton=40):
     return x, None
 
 
-def solve_inner(ch, profile, lam, cfg=None, warm=None):
-    """Maximize the weighted throughput for fixed per-epoch weights.
-
-    Returns (Allocation, DualVariables, report) where report is a dict with
-    the weighted objective, the independently recomputed KktReport, the
-    convergence flag and iteration counters.  Non-convergence is reported,
-    not raised: the best iterate and its residuals are returned for the
-    caller to judge.
-    """
-    cfg = cfg or SolverConfig()
-    waived = require_valid(profile, allow_degenerate=True)
-    n = profile.n_epochs
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (n,):
-        raise ValueError("lam must have one weight per epoch (%d)" % n)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
-        raise ValueError("weights must lie in [0, 1]")
-    if ch.a <= 1.0 and np.any(lam > 0.0):
-        raise BranchUndefinedError(
-            "a <= 1 forces all weights to 0 (multi-access bound undefined)")
-
-    run_warnings = []
-    if waived:
-        msg = "degenerate profile: " + "; ".join(waived)
-        run_warnings.append(msg)
-        _warnings.warn(msg)
-
-    prob = _InnerProblem(ch, profile, lam)
-    if warm is not None:
-        x0 = prob.project(np.concatenate([np.asarray(warm.p1, dtype=float),
-                                          np.asarray(warm.p2, dtype=float)]))
-    else:
-        w1, w2 = _warm_start(profile)
-        x0 = prob.project(np.concatenate([w1, w2]))
-
-    x, duals, report = _run_ascent(prob, x0, cfg)
-
-    # The clamped extension of the multi-access bound rises again for very
-    # large relay power, so the weighted objective can have a second basin.
-    # Probe the basin the first run did not visit (capped relay start for
-    # the genuine branch region, full-spend staircase start for the clamped
-    # one) and keep the better value.
-    if ch.a > 1.0 and np.any(lam > 1e-9):
-        p1, p2 = x[:n], x[n:]
-        s1 = p1 * (ch.a ** 2 * p1 - ch.b ** 2 * p2)
-        clamp_active = (s1 < 0.0) & (lam > 1e-9)
-        if np.any(clamp_active):
-            from .closed_form import relay_saturation_power
-            cap = relay_saturation_power(ch, p1)
-            alt0 = prob.project(np.concatenate([p1, np.minimum(p2, cap)]))
-        else:
-            _, w2 = _warm_start(profile)
-            alt0 = prob.project(np.concatenate([p1, np.maximum(p2, w2)]))
-        if np.max(np.abs(alt0 - x)) > 1e-12 * prob.scale:
-            alt_x, alt_duals, alt_report = _run_ascent(prob, alt0, cfg)
-            if prob.objective(alt_x) > prob.objective(x):
-                x, duals, report = alt_x, alt_duals, alt_report
-
-    alloc = Allocation(p1=x[:n], p2=x[n:])
-    report = dict(report)
-    report["objective"] = prob.objective(x)
-    report["gradients"] = prob.grad_calls
-    report["warnings"] = tuple(run_warnings)
-    return alloc, duals, report
-
-
-def _run_ascent(prob, x, cfg):
-    """Projected gradient ascent with Armijo backtracking, polished and
-    certified at stalls; returns the best certified candidate."""
-    fx = prob.objective(x)
-    t = 1.0
-    best = None
-    polish_every = 15
-    it = 0
-    while prob.grad_calls < cfg.max_iter_inner:
-        it += 1
-        g = prob.gradient(x)
-        moved = 0.0
-        for _ in range(60):
-            x_try = prob.project(x + t * g)
-            step = x_try - x
-            f_try = prob.objective(x_try)
-            if f_try >= fx + ARMIJO_SLOPE * float(g @ step) or f_try > fx:
-                moved = float(np.max(np.abs(step)))
-                x, fx = x_try, f_try
-                t *= 1.6
-                break
-            t *= ARMIJO_SHRINK
-            if t < 1e-18:
-                break
-        stalled = moved <= 1e-13 * prob.scale
-        if it % polish_every == 0 or stalled:
-            x, duals, report, ok = _polish_and_certify(prob, x, cfg)
-            fx = prob.objective(x)
-            if ok:
-                best = (x, duals, report)
-                break
-            best = (x, duals, report)
-            if stalled:
-                break
-    if best is None:
-        x, duals, report, _ = _polish_and_certify(prob, x, cfg)
-        best = (x, duals, report)
-    return best
-
-
 def _polish_and_certify(prob, x, cfg, max_rounds=14):
-    """Active-set Newton refinement followed by independent certification."""
-    best_x, best_duals, best_rep = x, None, None
+    """Active-set Newton refinement with independent certification: the
+    first point the certificate accepts at tol_inner, else the one with the
+    smallest residual (x itself if no round reached a certificate)."""
+    best_x, best = x, None
     for _ in range(max_rounds):
         act_pref, act_zero = prob.active_sets(x)
         x = prob.snap(x, act_pref, act_zero)
@@ -779,18 +680,16 @@ def _polish_and_certify(prob, x, cfg, max_rounds=14):
         x, hit = _face_newton(prob, x, act_pref, act_zero)
         if hit is not None:
             continue  # face changed; redetect actives
-        duals, rep = _certify(prob, x)
-        if best_rep is None or rep.max < best_rep.max:
-            best_x, best_duals, best_rep = x, duals, rep
+        rep = _certify(prob, x)[1]
         if rep.certified(cfg.tol_inner):
-            return x, duals, {"kkt": rep, "converged": True}, True
+            return x
+        if best is None or rep.max < best:
+            best_x, best = x, rep.max
         released = _release_step(prob, x)
         if released is None:
             break
         x = released
-    if best_duals is None:
-        best_duals, best_rep = _certify(prob, best_x)
-    return best_x, best_duals, {"kkt": best_rep, "converged": False}, False
+    return best_x
 
 
 def _certify(prob, x):
@@ -839,9 +738,10 @@ def _release_step(prob, x):
 # The b = 1 schedule program
 
 
-def _concave_program(ch, l, c1, c2, x0, max_iter):
-    """Maximize sum_i l_i*R_ma over both causality polytopes and the cone
-    p2 <= (a^2-1)*p1 with SLSQP, from the stacked start x0 = [p1; p2].
+def _concave_program(ch, l, lam, c1, c2, x0, max_iter):
+    """Maximize sum_i l_i*[lam_i*R_ma + (1-lam_i)*R_bc] over both causality
+    polytopes and the cone p2 <= (a^2-1)*p1 with SLSQP, from the stacked
+    start x0 = [p1; p2].
 
     Powers whose prefix cap is zero (and relay powers whose source power is
     forced to zero by the cone) are held at 0.  Returns the stacked result
@@ -851,14 +751,19 @@ def _concave_program(ch, l, c1, c2, x0, max_iter):
     a2 = ch.a ** 2
     k = a2 - 1.0
     scale = a2 * ch.noise
+    w_ma = l * lam
+    # the broadcast term vanishes under the min-max weights lam = 1
+    mixed = bool(np.any(lam < 1.0))
+    w_bc = l * (1.0 - lam)
 
     def parts(x):
-        # R_ma for b = 1 with the factor p1 cancelled: C((u + v)^2 / (a^2 N))
+        # R_ma for b = 1 with the factor p1 cancelled: C((u + v)^2 / (a^2 N));
+        # R_bc = C(a^2 p1 / N)
         p1 = np.maximum(x[:n], 0.0)
         p2 = np.maximum(x[n:], 1e-300)
         u = np.sqrt(np.maximum(a2 * p1 - p2, 1e-300))
         v = np.sqrt(k * p2)
-        return u, v, (u + v) ** 2 / scale
+        return p1, u, v, (u + v) ** 2 / scale
 
     fixed = np.concatenate([c1 <= 0.0, (c1 <= 0.0) | (c2 <= 0.0)])
     free = ~fixed
@@ -871,14 +776,20 @@ def _concave_program(ch, l, c1, c2, x0, max_iter):
         return x
 
     def f(z):
-        return -0.5 * float(l @ np.log2(1.0 + parts(full(z))[2]))
+        p1, _, _, snr = parts(full(z))
+        val = w_ma @ np.log2(1.0 + snr)
+        if mixed:
+            val += w_bc @ np.log2(1.0 + a2 * p1 / ch.noise)
+        return -0.5 * float(val)
 
     def grad(z):
-        u, v, snr = parts(full(z))
-        dc = l / (2.0 * LN2 * (1.0 + snr))
-        d1 = (u + v) / (u * ch.noise)
+        p1, u, v, snr = parts(full(z))
+        dc = w_ma / (2.0 * LN2 * (1.0 + snr))
+        d1 = dc * ((u + v) / (u * ch.noise))
         d2 = (u + v) * (k / v - 1.0 / u) / scale
-        return -np.concatenate([dc * d1, dc * d2])[free]
+        if mixed:
+            d1 += w_bc * a2 / (2.0 * LN2 * (ch.noise + a2 * p1))
+        return -np.concatenate([d1, dc * d2])[free]
 
     # both prefix systems and the cone as one inequality A x <= caps
     P = _prefix_matrix(l)
@@ -895,38 +806,36 @@ def _concave_program(ch, l, c1, c2, x0, max_iter):
     return full(res.x).copy(), int(res.njev)
 
 
-def solve_minmax(ch, profile, cfg=None):
-    """Optimal b = 1 schedule with its weights, duals and KKT certificate.
+def _solve(ch, profile, lam, cfg, warm=None):
+    """The b = 1 program under the float weights lam, certified:
+    (audit, counters, warnings), shared by :func:`solve_minmax` and
+    :func:`solve_inner`.
 
-    The staircase warm start is certified first.  For a <= 1 it is exact:
-    the source staircase maximizes R_bc(p1) and the relay keeps its own
-    staircase.  For a > 1 it is repaired exactly (powers clipped at 0, each
-    node projected onto its causality polytope, p2 lowered onto the cone)
-    and returned as it is when the independent certificate accepts it at
-    tol_inner, so a loose tol_inner accepts the start as soon as it
-    certifies at that tolerance.  Otherwise the concave program (module
-    docstring) is solved by SLSQP from the start and the result repaired
-    the same way; if that point does not certify either, an active-face
-    Newton polish refines it and the repair is applied again.  converged is
-    set by the independent certificate alone (KKT residual <= tol_inner and
-    minmax_gap <= 10*tol_outer), whatever the optimizer reported.  b != 1
-    raises ProfileError: the reduction and the certificate hold only for
-    b = 1.
+    For a > 1 the start (warm, or each node's staircase) is repaired
+    exactly: powers clipped at 0, each node projected onto its causality
+    polytope, p2 lowered onto the cone.  It is returned as it is when the
+    independent certificate accepts it at tol_inner.  Otherwise the concave
+    program is solved by SLSQP from the staircase start and the result
+    repaired the same way; if that point does not certify either, an
+    active-face Newton polish refines it and the repair is applied again.
+    SLSQP never starts from warm: from arbitrary starts it can stop early
+    ("Inequality constraints incompatible") far from the optimum.
+    For a <= 1 (lam = 0) the rate is R_bc(p1) alone: the source staircase
+    is exact and the relay keeps its own.  b != 1 raises ProfileError: the
+    reduction to the cone and the certificate hold only for b = 1.
     """
-    cfg = cfg or SolverConfig()
     if ch.b != 1.0:
         raise ProfileError([
             "b = %g is outside the model: schedules are solved for b = 1 "
             "only, where the multi-access and broadcast bounds meet on the "
             "cone p2 = (a^2-1)*p1" % ch.b])
     waived = require_valid(profile, allow_degenerate=True)
-    warn = []
+    warn = ()
     if waived:
-        warn.append("degenerate profile: " + "; ".join(waived))
+        warn = ("degenerate profile: " + "; ".join(waived),)
         _warnings.warn(warn[0])
     l, (c1, c2) = _lengths_caps(profile)
     n = profile.n_epochs
-    lam = np.full(n, 1.0 if ch.a > 1.0 else 0.0)
     k = ch.a ** 2 - 1.0
 
     def repaired(x):
@@ -936,29 +845,90 @@ def solve_minmax(ch, profile, cfg=None):
                                l, c2)
         return Allocation(p1=q1, p2=q2)
 
-    p1, p2 = _warm_start(profile)
     if ch.a > 1.0:
+        p1, p2 = _warm_start(profile)
         x0 = np.concatenate([p1, np.minimum(p2, k * p1)])
-        start = repaired(x0)
+        start = repaired(x0 if warm is None
+                         else np.concatenate([warm.p1, warm.p2]))
     else:
-        start = Allocation(p1=p1, p2=p2)
+        start = Allocation(*_warm_start(profile))
     audit = _audit(ch, profile, start, lam)
     counters = IterationCounters()
     if ch.a > 1.0 and not audit.kkt.certified(cfg.tol_inner):
-        x, grads = _concave_program(ch, l, c1, c2, x0, cfg.max_iter_inner)
+        x, grads = _concave_program(ch, l, lam, c1, c2, x0, cfg.max_iter_inner)
         audit = _audit(ch, profile, repaired(x), lam)
         if not audit.kkt.certified(cfg.tol_inner):
             # SLSQP stops once the objective stalls in its last bit, which
             # can leave the powers about 1e-8 off; Newton steps on the active
-            # face of the lambda = 1 program finish them
+            # face of the weighted program finish them
             prob = _InnerProblem(ch, profile, lam)
             x = _polish_and_certify(
-                prob, np.concatenate([audit.alloc.p1, audit.alloc.p2]),
-                cfg)[0]
+                prob, np.concatenate([audit.alloc.p1, audit.alloc.p2]), cfg)
             grads += prob.grad_calls
             audit = _audit(ch, profile, repaired(x), lam)
         counters = IterationCounters(inner_solves=1, inner_gradients=grads)
-    return _assemble(ch, audit, counters, tuple(warn), cfg)
+    return audit, counters, warn
+
+
+def solve_minmax(ch, profile, cfg=None):
+    """Optimal b = 1 schedule with its weights, duals and KKT certificate.
+
+    The concave program of the module docstring, solved with the min-max
+    weights lambda = 1 (a > 1) or 0 (a <= 1) by the shared core: the
+    repaired staircase start when it certifies at tol_inner (so a loose
+    tol_inner accepts the start as soon as it certifies at that
+    tolerance), else SLSQP from it and, if that point does not certify
+    either, the active-face Newton polish; each candidate is repaired
+    exactly onto the feasible set and the cone.  converged is set by the
+    independent certificate alone (KKT residual <= tol_inner and
+    minmax_gap <= 10*tol_outer), whatever the optimizer reported.  b != 1
+    raises ProfileError: the reduction and the certificate hold only for
+    b = 1.
+    """
+    cfg = cfg or SolverConfig()
+    lam = np.full(profile.n_epochs, 1.0 if ch.a > 1.0 else 0.0)
+    return _assemble(ch, *_solve(ch, profile, lam, cfg), cfg)
+
+
+def solve_inner(ch, profile, lam, cfg=None, warm=None):
+    """Maximize the weighted throughput for fixed per-epoch weights.
+
+    The objective is sum_i l_i*[lam_i*R_ma + (1-lam_i)*R_bc].  An optimum
+    lies in the cone (module docstring), so this is :func:`solve_minmax`'s
+    program under the weights lam, solved by the same core: the start is
+    certified first, then SLSQP and the face-Newton polish run if needed.
+    warm, repaired onto the feasible set and the cone, is the start that is
+    certified first; if it does not certify, the solve goes on as without
+    it.  For a <= 1 (all weights 0) the source staircase is exact and warm
+    is ignored.  b != 1 raises ProfileError.
+
+    Returns (Allocation, DualVariables, report) where report is a dict with
+    the weighted objective, the independently recomputed KktReport, the
+    convergence flag (KKT residual <= tol_inner), the gradient evaluations
+    of SLSQP and the polish, and the warnings.  Non-convergence is
+    reported, not raised: the best point and its residuals are returned
+    for the caller to judge.
+    """
+    cfg = cfg or SolverConfig()
+    n = profile.n_epochs
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (n,):
+        raise ValueError("lam must have one weight per epoch (%d)" % n)
+    if np.any(lam < 0.0) or np.any(lam > 1.0):
+        raise ValueError("weights must lie in [0, 1]")
+    if ch.a <= 1.0 and np.any(lam > 0.0):
+        raise BranchUndefinedError(
+            "a <= 1 forces all weights to 0 (multi-access bound undefined)")
+    audit, counters, warn = _solve(ch, profile, lam, cfg, warm)
+    alloc = audit.alloc
+    return alloc, audit.duals, {
+        "objective": float(np.sum(audit.l * weighted_rate(
+            ch, alloc.p1, alloc.p2, lam))),
+        "kkt": audit.kkt,
+        "converged": audit.kkt.certified(cfg.tol_inner),
+        "gradients": counters.inner_gradients,
+        "warnings": warn,
+    }
 
 
 class _Audit(NamedTuple):

@@ -226,6 +226,13 @@ class TestRelaySaturation:
         assert relay_saturation_power(ch, P[:, None]).shape == (len(P), 1)
         assert relay_saturation_power(ch, np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("a", [0.8, 2.0])
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, [1.0, np.nan]])
+    def test_non_finite_source_power_named(self, a, p):
+        ch = ChannelParams(a=a, b=1.0, noise=1.0)
+        with pytest.raises(ValueError, match="p_source must be finite"):
+            relay_saturation_power(ch, p)
+
 
 class TestSolveRelayOnly:
     def test_abundant_energy_capped(self):

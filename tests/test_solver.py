@@ -877,9 +877,85 @@ class TestFoundFaults:
         self._assert_optimal(sol, 6.751205354701607)
 
 
+def _rng7_draws():
+    """120 instances with a > 1 and K+1 = 1..6, each with uniform weights."""
+    rng = np.random.default_rng(7)
+    for _ in range(120):
+        k = int(rng.integers(0, 6))
+        ch, prof = random_instance(rng, k, a_low_frac=0.0)
+        yield ch, prof, rng.uniform(0.0, 1.0, size=k + 1)
+
+
+class TestWeightedProgram:
+    """solve_inner maximizes the weighted objective over the cone
+    p2 <= (a^2-1)*p1, where R_ma is a rate."""
+
+    # solve_inner's objectives when it ran a projected gradient ascent
+    # without the cone, on the first 20 rng-7 draws whose optimum it found
+    # inside the cone
+    ASCENT_OBJECTIVES = {
+        0: 17.18253265011217, 1: 6.127766013198761, 2: 4.015558733106508,
+        3: 3.624114115149586, 4: 6.5032633602733725, 5: 16.834745009492863,
+        6: 4.7562945708558, 8: 11.832932134419167, 9: 14.25221779122618,
+        10: 10.307469720442526, 11: 5.202071454221164,
+        12: 4.185707128204429, 13: 14.563940675305425,
+        14: 7.410174747338861, 15: 4.962957973012008,
+        16: 9.351130051320734, 17: 4.826828061217524,
+        18: 15.332426669272817, 19: 11.187500469350603,
+        21: 10.422485183889764,
+    }
+
+    def test_matches_ascent_reference_inside_cone(self):
+        for i, (ch, prof, lam) in enumerate(_rng7_draws()):
+            if i in self.ASCENT_OBJECTIVES:
+                got = solve_inner(ch, prof, lam)[2]["objective"]
+                assert got == pytest.approx(self.ASCENT_OBJECTIVES[i],
+                                            rel=1e-12), i
+
+    def test_every_draw_certified_inside_cone(self):
+        tol = SolverConfig().tol_inner
+        for i, (ch, prof, lam) in enumerate(_rng7_draws()):
+            alloc, _, rep = solve_inner(ch, prof, lam)
+            assert rep["kkt"].certified(tol), i
+            assert np.all(alloc.p2 <= (ch.a ** 2 - 1.0) * alloc.p1), i
+
+    def test_warm_start_is_certified_first(self):
+        rng = np.random.default_rng(1)
+        for i, (ch, prof, lam) in zip(range(40), _rng7_draws()):
+            alloc, _, cold = solve_inner(ch, prof, lam)
+            # an optimal warm start is returned without a solve
+            _, _, rep = solve_inner(ch, prof, lam, warm=alloc)
+            assert rep["gradients"] == 0 and rep["converged"], i
+            # from arbitrary starts like these SLSQP stopped early on 7 of
+            # the 40 draws; a warm start that does not certify is dropped
+            n = prof.n_epochs
+            warm = Allocation(p1=rng.uniform(-1.0, 20.0, n),
+                              p2=rng.uniform(-1.0, 40.0, n))
+            _, _, rep = solve_inner(ch, prof, lam, warm=warm)
+            assert rep["converged"], i
+            assert rep["objective"] == pytest.approx(cold["objective"],
+                                                     rel=1e-12), i
+
+    def test_clamped_extension_not_credited(self):
+        # the ascent returned 15.914301041235678 here, with p1[0] = 3.2e-27
+        # and p2[0] = 29.6: R_ma's clamped extension beyond the cone credits
+        # the relay with a rate while the source sends nothing
+        ch = ChannelParams(a=2.474684438108496, b=1.0, noise=1.57816882761866)
+        prof = make_profile([0.0, 2.7483, 5.5597], [3.5242, 5.5931, 7.6467],
+                            [148.9556, 0.0, 30.9426], 8.3642)
+        alloc, _, rep = solve_inner(ch, prof, np.array([0.9867, 0.8189, 0.8625]))
+        assert np.all(alloc.p2 <= (ch.a ** 2 - 1.0) * alloc.p1)
+        assert rep["kkt"].certified(SolverConfig().tol_inner)
+        assert rep["objective"] == pytest.approx(12.891072769493682, rel=1e-9)
+
+
 class TestModelBoundary:
-    def test_b_other_than_one_rejected(self):
+    @pytest.mark.parametrize("solve", [
+        solve_minmax,
+        lambda ch, prof: solve_inner(ch, prof, np.ones(prof.n_epochs)),
+    ], ids=["solve_minmax", "solve_inner"])
+    def test_b_other_than_one_rejected(self, solve):
         ch = ChannelParams(a=2.0, b=0.75, noise=1.0)
         prof = make_profile([0, 2], [4, 6], [2, 3], 5.0)
         with pytest.raises(ProfileError, match="b = 1 only"):
-            solve_minmax(ch, prof)
+            solve(ch, prof)
