@@ -22,7 +22,8 @@ rates; it is exposed so the functional form can be tested directly.
 Each special case returns the same Solution as :func:`solver.solve_minmax`,
 built by the same code: multipliers from :func:`solver.recover_duals`
 (nonnegative least squares) and the certificate of
-:func:`solver.kkt_residual`.  Unlike solve_minmax, a closed form is labelled
+:func:`solver.kkt_residual`.  That code also raises ProfileError for
+b != 1, as solve_minmax does.  Unlike solve_minmax, a closed form is labelled
 converged whatever that certificate says.  The single-harvester schedules
 are not always optimal (a flat spend of the single battery can be beaten),
 and their kkt_residual then shows the shortfall.

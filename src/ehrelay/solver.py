@@ -45,7 +45,7 @@ through one core: start, certificate, SLSQP, face-Newton polish.
 scipy is imported where it is called, not with this module, so schedule
 evaluation and checks, the grid oracle and the command-line parser run
 without it: scipy.optimize by the first dual fit (every Solution) and the
-first SLSQP solve, scipy.linalg by the first face-Newton polish.
+first SLSQP solve.
 """
 
 import warnings as _warnings
@@ -69,8 +69,6 @@ from .capacity import (
 from .profile import RELAY, SOURCE, ProfileError, _node_arrays, require_valid
 
 FEASIBILITY_RTOL = 1e-9
-# Armijo sufficient-increase slope of the face-Newton line search
-ARMIJO_SLOPE = 1e-4
 
 __all__ = [
     "Allocation",
@@ -514,10 +512,10 @@ def _warm_start(profile):
 
 
 class _InnerProblem:
-    """The weighted objective sum_i l_i*weighted_rate, its gradient and the
-    causality geometry over the stacked powers x = [p1; p2], for the
-    face-Newton polish.  The cone is not among its constraints: the caller
-    lowers p2 onto it after the polish."""
+    """The weighted objective sum_i l_i*weighted_rate and its gradient over
+    the stacked powers x = [p1; p2], with both nodes' prefix rows and caps,
+    for the face-Newton polish.  The cone is not among its constraints: the
+    caller lowers p2 onto it after the polish."""
 
     GRAD_FLOOR = 1e-12
 
@@ -525,8 +523,10 @@ class _InnerProblem:
         self.ch = ch
         self.lam = np.asarray(lam, dtype=float)
         self.l, (self.c1, self.c2) = _lengths_caps(profile)
-        self.n = len(self.l)
-        self.M = _prefix_matrix(self.l)
+        self.n = n = len(self.l)
+        self.rows = np.zeros((2 * n, 2 * n))
+        self.rows[:n, :n] = self.rows[n:, n:] = _prefix_matrix(self.l)
+        self.caps = np.concatenate([self.c1, self.c2])
         self.scale = max(1.0, float(self.c1[-1]), float(self.c2[-1]))
         self.grad_calls = 0
 
@@ -543,89 +543,44 @@ class _InnerProblem:
         d1, d2 = weighted_rate_grad(self.ch, p1, p2, self.lam)
         return np.concatenate([self.l * d1, self.l * d2])
 
-    def project(self, x):
-        p1 = project_causality(x[: self.n], self.l, self.c1)
-        p2 = project_causality(x[self.n:], self.l, self.c2)
-        return np.concatenate([p1, p2])
-
-    # constraint rows over the stacked variable x = [p1; p2]
-    def prefix_rows(self):
-        n = self.n
-        rows = np.zeros((2 * n, 2 * n))
-        rows[:n, :n] = self.M
-        rows[n:, n:] = self.M
-        caps = np.concatenate([self.c1, self.c2])
-        return rows, caps
-
-    def active_sets(self, x, tol=None):
-        rows, caps = self.prefix_rows()
-        tol = tol if tol is not None else 1e-7 * self.scale
-        spend = rows @ x
-        act_pref = np.where(spend >= caps - tol)[0]
-        p_scale = max(1.0, float(np.max(x)))
-        act_zero = np.where(x <= 1e-9 * p_scale)[0]
-        return act_pref, act_zero
-
-    def snap(self, x, act_pref, act_zero):
-        """Move x the minimum distance so active constraints hold exactly."""
-        rows, caps = self.prefix_rows()
-        eqs = [rows[k] for k in act_pref]
-        rhs = [caps[k] for k in act_pref]
-        for i in act_zero:
-            e = np.zeros(2 * self.n)
-            e[i] = 1.0
-            eqs.append(e)
-            rhs.append(0.0)
-        if not eqs:
-            return x
-        A = np.vstack(eqs)
-        r = A @ x - np.asarray(rhs)
-        sol, *_ = np.linalg.lstsq(A, r, rcond=None)
-        return np.maximum(x - sol, 0.0)
+    def active(self, x):
+        """The prefix rows active at x, and the outward normals of every
+        active constraint: those rows, then -e_i for each power at 0."""
+        act_pref = np.flatnonzero(self.rows @ x >= self.caps - 1e-7 * self.scale)
+        act_zero = np.flatnonzero(x <= 1e-9 * max(1.0, float(np.max(x))))
+        return act_pref, np.vstack([self.rows[act_pref],
+                                    -np.eye(2 * self.n)[act_zero]])
 
 
-def _face_newton(prob, x, act_pref, act_zero, max_newton=40):
-    """Maximize on the face defined by the active constraints.
-
-    Returns (x, hit_constraint): hit_constraint is the index of a prefix row
-    that became active during line search (or None).
-    """
-    rows, caps = prob.prefix_rows()
-    n2 = 2 * prob.n
-    eqs = [rows[k] for k in act_pref]
-    for i in act_zero:
-        e = np.zeros(n2)
-        e[i] = 1.0
-        eqs.append(e)
-    if eqs:
-        import scipy.linalg
-        Z = scipy.linalg.null_space(np.vstack(eqs))
-    else:
-        Z = np.eye(n2)
+def _face_newton(prob, x, act_pref, normals, max_newton=40):
+    """Newton ascent on the face where the active constraints (outward
+    normals) hold with equality.  The Hessian is a finite difference of the
+    gradient in the face basis; where the Newton step does not ascend, the
+    steepest ascent is taken.  Each step is cut at the first inactive prefix
+    row or zero bound it reaches and halved until the objective does not
+    fall."""
+    # the face basis: right singular vectors beyond the numerical rank
+    _, s, vh = np.linalg.svd(normals)
+    rank = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps
+                      * max(normals.shape)))
+    Z = vh[rank:].T
     if Z.shape[1] == 0:
-        return x, None
-
-    inact = [k for k in range(n2) if k not in set(act_pref)]
+        return x
+    inactive = np.ones(2 * prob.n, dtype=bool)
+    inactive[act_pref] = False
     fx = prob.objective(x)
     for _ in range(max_newton):
         g = prob.gradient(x)
         gz = Z.T @ g
-        gnorm = float(np.max(np.abs(gz)))
-        if gnorm <= 1e-13 * max(1.0, abs(fx)) + 1e-15:
+        if float(np.max(np.abs(gz))) <= 1e-13 * max(1.0, abs(fx)) + 1e-15:
             break
-        # finite-difference Hessian of the gradient along the face basis
         h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
-        cols = []
-        for j in range(Z.shape[1]):
-            d = Z[:, j]
-            gp = prob.gradient(np.maximum(x + h * d, 0.0))
-            gm = prob.gradient(np.maximum(x - h * d, 0.0))
-            cols.append(Z.T @ (gp - gm) / (2.0 * h))
-        H = np.column_stack(cols)
-        H = 0.5 * (H + H.T)
-        ridge = 1e-12 * max(1.0, float(np.max(np.abs(H))))
+        H = np.column_stack([
+            Z.T @ (prob.gradient(np.maximum(x + h * z, 0.0))
+                   - prob.gradient(np.maximum(x - h * z, 0.0))) / (2.0 * h)
+            for z in Z.T])
         try:
-            d = np.linalg.solve(-H + ridge * np.eye(H.shape[0]), gz)
+            d = np.linalg.solve(-0.5 * (H + H.T), gz)
         except np.linalg.LinAlgError:
             d = gz
         if float(d @ gz) <= 0.0:
@@ -633,69 +588,41 @@ def _face_newton(prob, x, act_pref, act_zero, max_newton=40):
         dx = Z @ d
 
         # largest feasible step along dx
-        alpha_max = np.inf
-        hit = None
-        for k in inact:
-            den = float(rows[k] @ dx)
-            if den > 1e-15:
-                a = (caps[k] - float(rows[k] @ x)) / den
-                if a < alpha_max:
-                    alpha_max, hit = a, k
-        for i in range(n2):
-            if dx[i] < -1e-15 and x[i] > 0.0:
-                a = x[i] / (-dx[i])
-                if a < alpha_max:
-                    alpha_max, hit = a, ("zero", i)
-        alpha = min(1.0, alpha_max)
+        den = prob.rows @ dx
+        rises = inactive & (den > 1e-15)
+        falls = (dx < -1e-15) & (x > 0.0)
+        alpha = min(1.0, *((prob.caps - prob.rows @ x)[rises] / den[rises]),
+                    *(x[falls] / -dx[falls]))
         if alpha <= 0.0:
             break
-        hit_boundary = alpha >= alpha_max * (1.0 - 1e-12)
-        slope = float(gz @ d)
-        accepted = False
         while alpha > 1e-16:
             x_try = np.maximum(x + alpha * dx, 0.0)
             f_try = prob.objective(x_try)
-            if f_try >= fx + ARMIJO_SLOPE * alpha * slope or f_try >= fx:
+            if f_try >= fx:
                 x, fx = x_try, f_try
-                accepted = True
                 break
             alpha *= 0.5
-            hit_boundary = False
-        if not accepted:
+        else:
             break
-        if hit_boundary and hit is not None:
-            return x, hit
-    return x, None
+    return x
 
 
 def _polish_and_certify(prob, x, cfg, max_rounds=14):
-    """Active-set Newton refinement with independent certification: the
-    first point the certificate accepts at tol_inner, else the one with the
-    smallest residual (x itself if no round reached a certificate)."""
-    best_x, best = x, None
+    """Active-set Newton refinement: each round runs :func:`_face_newton` on
+    the face active at x and returns the point once the independent
+    certificate accepts it at tol_inner; otherwise :func:`_release_step`
+    leaves a face that blocks ascent.  Returns the last point reached."""
     for _ in range(max_rounds):
-        act_pref, act_zero = prob.active_sets(x)
-        x = prob.snap(x, act_pref, act_zero)
-        x = prob.project(x)
-        x, hit = _face_newton(prob, x, act_pref, act_zero)
-        if hit is not None:
-            continue  # face changed; redetect actives
-        rep = _certify(prob, x)[1]
-        if rep.certified(cfg.tol_inner):
+        x = _face_newton(prob, x, *prob.active(x))
+        alloc = Allocation(p1=x[: prob.n], p2=x[prob.n:])
+        if _certificate(prob.ch, prob.l, alloc, prob.lam, (prob.c1, prob.c2),
+                        _spends(alloc, prob.l))[1].certified(cfg.tol_inner):
             return x
-        if best is None or rep.max < best:
-            best_x, best = x, rep.max
         released = _release_step(prob, x)
         if released is None:
             break
         x = released
-    return best_x
-
-
-def _certify(prob, x):
-    alloc = Allocation(p1=x[: prob.n], p2=x[prob.n:])
-    return _certificate(prob.ch, prob.l, alloc, prob.lam, (prob.c1, prob.c2),
-                        _spends(alloc, prob.l))
+    return x
 
 
 def _certificate(ch, l, alloc, lam, caps, spends):
@@ -709,26 +636,19 @@ def _certificate(ch, l, alloc, lam, caps, spends):
 
 
 def _release_step(prob, x):
-    """Try to leave a face that blocks ascent: keep only constraints whose
-    unsigned least-squares multiplier is nonnegative; return a point slightly
-    inside if something was released, else None."""
-    act_pref, act_zero = prob.active_sets(x)
-    if len(act_pref) == 0 and len(act_zero) == 0:
+    """Try to leave a face that blocks ascent: if some active constraint's
+    unsigned least-squares multiplier is negative, return a point slightly
+    inside along the gradient, projected onto both polytopes; else None."""
+    normals = prob.active(x)[1]
+    if not normals.size:
         return None
-    n2 = 2 * prob.n
-    rows, caps = prob.prefix_rows()
-    cols = [rows[k] for k in act_pref]
-    for i in act_zero:
-        e = np.zeros(n2)
-        e[i] = -1.0
-        cols.append(e)
-    A = np.column_stack(cols)
     g = prob.gradient(x)
-    sol, *_ = np.linalg.lstsq(A, g, rcond=None)
+    sol, *_ = np.linalg.lstsq(normals.T, g, rcond=None)
     if np.all(sol >= -1e-10):
         return None
-    # nudge off the most wrongly-active constraint along the gradient
-    x_new = prob.project(x + 1e-6 * prob.scale * g / max(1.0, float(np.max(np.abs(g)))))
+    y = x + 1e-6 * prob.scale * g / max(1.0, float(np.max(np.abs(g))))
+    x_new = np.concatenate([project_causality(y[: prob.n], prob.l, prob.c1),
+                            project_causality(y[prob.n:], prob.l, prob.c2)])
     if np.max(np.abs(x_new - x)) <= 1e-15 * prob.scale:
         return None
     return x_new
@@ -824,11 +744,6 @@ def _solve(ch, profile, lam, cfg, warm=None):
     is exact and the relay keeps its own.  b != 1 raises ProfileError: the
     reduction to the cone and the certificate hold only for b = 1.
     """
-    if ch.b != 1.0:
-        raise ProfileError([
-            "b = %g is outside the model: schedules are solved for b = 1 "
-            "only, where the multi-access and broadcast bounds meet on the "
-            "cone p2 = (a^2-1)*p1" % ch.b])
     waived = require_valid(profile, allow_degenerate=True)
     warn = ()
     if waived:
@@ -950,8 +865,15 @@ def _audit(ch, profile, alloc, lam):
     and the powers and weights are checked as :func:`weighted_rate` checks
     them.  The multipliers fitted as by :func:`recover_duals` and the
     certificate of :func:`kkt_residual` come from one gradient evaluation
-    and the same caps and spends.
+    and the same caps and spends.  b != 1 raises ProfileError, for every
+    solver and closed form alike: the reduction to the cone and the
+    certificate hold only for b = 1.
     """
+    if ch.b != 1.0:
+        raise ProfileError([
+            "b = %g is outside the model: schedules are solved for b = 1 "
+            "only, where the multi-access and broadcast bounds meet on the "
+            "cone p2 = (a^2-1)*p1" % ch.b])
     lam = np.asarray(lam, dtype=float)
     l, caps, spends = _feasible(profile, alloc)
     _weighted_args(ch, alloc.p1, alloc.p2, lam)

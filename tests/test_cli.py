@@ -282,6 +282,20 @@ class TestModelBoundary:
         assert rc == 3
         assert "b = 1 only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("e1, e2", [
+        ([4, 6], [2, 3]),
+        ([4, 0], [2, 3]),
+        ([4, 6], [2, 0]),
+    ], ids=["proportional", "relay-only", "source-only"])
+    def test_solve_auto_closed_form_exit_3(self, tmp_path, capsys, e1, e2):
+        ch = ChannelParams(a=2.0, b=0.75, noise=1.0)
+        path = write_problem(tmp_path / "b075.json", ch,
+                             make_profile([0, 2], e1, e2, 5.0))
+        rc = main(["solve", path, "--case", "auto", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "b = 1 only" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "b075_schedule.json")
+
 
 def _round_tree(obj):
     """The payload as the JSON writer rounds it: floats, numpy ones

@@ -26,6 +26,8 @@ from ehrelay import (
     capacity_min,
     solve_minmax,
     solve_proportional,
+    solve_relay_only,
+    solve_source_only,
     weighted_rate,
     weighted_rate_grad,
 )
@@ -876,6 +878,45 @@ class TestFoundFaults:
         sol = solve_minmax(ch, prof, SolverConfig(max_iter_outer=5))
         self._assert_optimal(sol, 6.751205354701607)
 
+    @staticmethod
+    def _inner_draw(seed, index):
+        """Draw index of default_rng(seed): K+1 = 1..8, a > 1, uniform
+        weights."""
+        rng = np.random.default_rng(seed)
+        for _ in range(index + 1):
+            k = int(rng.integers(0, 8))
+            ch, prof = random_instance(rng, k, a_low_frac=0.0)
+            lam = rng.uniform(0.0, 1.0, size=k + 1)
+        return ch, prof, lam
+
+    @staticmethod
+    def _criterion7_lam_b(pair):
+        """Criterion 7's instance under the second weight vector of pair."""
+        rng = np.random.default_rng(13)
+        for _ in range(pair + 1):
+            rng.uniform(0.0, 1.0, size=3)
+            lam = rng.uniform(0.0, 1.0, size=3)
+        return (ChannelParams(a=2.0, b=1.0, noise=1.0),
+                make_profile([0.0, 1.5, 3.0], [3.0, 2.0, 4.0],
+                             [1.0, 2.0, 1.0], 5.0), lam)
+
+    # each draw reaches the face-Newton polish and is left uncertified when
+    # one of its pieces is taken out: the release step (5055/4, 3033/381),
+    # the steepest-ascent fallback or GRAD_FLOOR (5055/4, criterion 7), or
+    # a cap of 3 rounds (5055/4) or 10 Newton steps (5055/4, 3033/795)
+    @pytest.mark.parametrize("seed, index, optimum", [
+        (5055, 4, 21.49572789955648),
+        (3033, 381, 15.993793695491632),
+        (3033, 795, 9.949306976232489),
+        (13, 30, 7.242445204266673),
+    ], ids=["rng5055-4", "rng3033-381", "rng3033-795", "criterion7-30b"])
+    def test_polish_certifies(self, seed, index, optimum):
+        ch, prof, lam = (self._criterion7_lam_b(index) if seed == 13
+                         else self._inner_draw(seed, index))
+        _, _, rep = solve_inner(ch, prof, lam)
+        assert rep["kkt"].certified(SolverConfig().tol_inner)
+        assert rep["objective"] == pytest.approx(optimum, rel=1e-9)
+
 
 def _rng7_draws():
     """120 instances with a > 1 and K+1 = 1..6, each with uniform weights."""
@@ -950,12 +991,17 @@ class TestWeightedProgram:
 
 
 class TestModelBoundary:
-    @pytest.mark.parametrize("solve", [
-        solve_minmax,
-        lambda ch, prof: solve_inner(ch, prof, np.ones(prof.n_epochs)),
-    ], ids=["solve_minmax", "solve_inner"])
-    def test_b_other_than_one_rejected(self, solve):
+    @pytest.mark.parametrize("solve, e1, e2", [
+        (solve_minmax, [4, 6], [2, 3]),
+        (lambda ch, prof: solve_inner(ch, prof, np.ones(prof.n_epochs)),
+         [4, 6], [2, 3]),
+        (lambda ch, prof: solve_proportional(ch, prof, 0.5), [4, 6], [2, 3]),
+        (solve_relay_only, [4, 0], [2, 3]),
+        (solve_source_only, [4, 6], [2, 0]),
+    ], ids=["solve_minmax", "solve_inner", "solve_proportional",
+            "solve_relay_only", "solve_source_only"])
+    def test_b_other_than_one_rejected(self, solve, e1, e2):
         ch = ChannelParams(a=2.0, b=0.75, noise=1.0)
-        prof = make_profile([0, 2], [4, 6], [2, 3], 5.0)
+        prof = make_profile([0, 2], e1, e2, 5.0)
         with pytest.raises(ProfileError, match="b = 1 only"):
             solve(ch, prof)
