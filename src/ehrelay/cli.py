@@ -275,6 +275,11 @@ def cmd_check(args):
         stored_rates = np.array([r["rate_bits"] for r in rows], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProfileFormatError("schedule rows are malformed: %s" % exc) from exc
+    # json.load reads NaN and Infinity, which no schedule holds
+    for name, v in (("p1", p1), ("p2", p2), ("rate_bits", stored_rates)):
+        if not np.isfinite(v).all():
+            raise ProfileFormatError("schedule rows are malformed: %s must be "
+                                     "finite" % name)
     alloc = Allocation(p1=p1, p2=p2)
     stored_total = data.get("total_bits")
     results = invariant_report(ch, profile, alloc, stored_rates=stored_rates,

@@ -21,12 +21,14 @@ rates; it is exposed so the functional form can be tested directly.
 
 Each special case returns the same Solution as :func:`solver.solve_minmax`,
 built by the same code: multipliers from :func:`solver.recover_duals`
-(nonnegative least squares) and the certificate of
-:func:`solver.kkt_residual`.  That code also raises ProfileError for
-b != 1, as solve_minmax does.  Unlike solve_minmax, a closed form is labelled
-converged whatever that certificate says.  The single-harvester schedules
-are not always optimal (a flat spend of the single battery can be beaten),
-and their kkt_residual then shows the shortfall.
+(an exact least-squares fit by pool adjacent violators, no scipy) and the
+certificate of :func:`solver.kkt_residual`.  That code also raises
+ProfileError for b != 1, as solve_minmax does.  A profile of the wrong
+shape for a single-harvester case raises ProfileError too, naming the node.
+Unlike solve_minmax, a closed form is labelled converged whatever that
+certificate says.  The single-harvester schedules are not always optimal (a
+flat spend of the single battery can be beaten), and their kkt_residual
+then shows the shortfall.
 """
 
 import math
@@ -36,7 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import active_rate
-from .profile import RELAY, SOURCE, _node_arrays, proportionality, require_valid
+from .profile import (
+    RELAY,
+    SOURCE,
+    ProfileError,
+    _node_arrays,
+    proportionality,
+    require_valid,
+)
 from .solver import Allocation, _solution
 
 __all__ = [
@@ -229,9 +238,9 @@ def _single_battery_power(profile, node):
     e = _node_arrays(profile, node)[2]
     bad = [i for i in range(len(e)) if e[i] > 0 and i > 0]
     if e[0] <= 0 or bad:
-        raise ValueError(
+        raise ProfileError([
             "%s must harvest exactly once at t=0; offending events: %s"
-            % (node, bad if bad else [0]))
+            % (node, bad if bad else [0])])
     return float(e[0] / profile.horizon)
 
 

@@ -19,20 +19,21 @@ R_bc(p1) alone and the source staircase is exact.
 The weights of the min-max form are lambda_i = 1 on every epoch (a > 1) or
 0 (a <= 1): inside the cone R_ma < R_bc, and on its boundary dR_ma/dp1 =
 dR_bc/dp1 and dR_ma/dp2 = 0, so the lambda = 1 stationarity system is the
-concave program's own.  Duals are recovered by nonnegative least squares on
-that system and the certificate is recomputed independently by
+concave program's own.  Duals are fitted to that system by least squares
+under dual feasibility and the certificate is recomputed independently by
 :func:`kkt_residual`; since the weighted objective is concave and bounds
 min(R_ma, R_bc) from above, a small residual certifies global optimality.
+The fit and the projection onto a causality polytope solve one problem, a
+nonincreasing, nonnegative suffix price per node that steps down only at
+tight prefixes, with one exact pool-adjacent-violators routine (:func:`_pav`).
 
 Every candidate schedule is checked and certified by :func:`_audit` (one
 gradient evaluation, one dual fit, one KKT report) before
 :func:`_assemble` rates it, so only the returned schedule becomes a
 Solution.  The profile's epoch lengths and caps come from its read-only
-cache, the feasibility, power and weight checks accept valid input on one
-min/max pass (anything else takes the full check, which names the fault),
-a node with no active constraint skips its NNLS fit, and a point already
-inside its polytope skips the Dykstra sweeps.  Each fast path gives the
-same floats as the full code.
+cache, and the feasibility, power and weight checks accept valid input on
+one min/max pass; anything else takes the full check, which names the
+fault.
 
 :func:`solve_inner` maximizes the weighted throughput
 sum_i l_i*[lambda_i*R_ma + (1-lambda_i)*R_bc] for arbitrary per-epoch
@@ -42,12 +43,12 @@ every lambda an optimum lies in the cone and the weighted problem is the
 same concave program with a weighted objective.  Both solvers run it
 through one core: start, certificate, SLSQP, face-Newton polish.
 
-scipy is imported where it is called, not with this module, so schedule
-evaluation and checks, the grid oracle and the command-line parser run
-without it: scipy.optimize by the first dual fit (every Solution) and the
-first SLSQP solve.
+scipy.optimize is imported by the first SLSQP solve, not with this module:
+schedule checks, certificates, closed forms, starts that certify, the grid
+oracle and the command-line parser run without it.
 """
 
+import math
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -307,73 +308,72 @@ def _tally(ch, l, p1, p2, ma, bc):
 
 
 # ---------------------------------------------------------------------------
-# Projection onto one node's causality polytope
+# Pool adjacent violators: the projection and the dual fit
 
 
-def project_causality(p, lengths, caps, tol=1e-12, max_sweeps=5000):
-    """Euclidean projection onto {p >= 0, cumsum(p*lengths) <= caps}.
+def _level(l, y, budget, fixed):
+    """The W solving sum l*(y - l*W) = budget over the active terms of the
+    float lists l, y: fixed ones always, the others while W < y/l, joining
+    from the highest y/l down; the smallest such W where the sum is flat."""
+    a = b = 0.0
+    free = []
+    for li, yi, f in zip(l, y, fixed):
+        if f:
+            a += li * li
+            b += li * yi
+        else:
+            free.append((yi / li, li, yi))
+    for t, li, yi in sorted(free, reverse=True):
+        if b - a * t >= budget:
+            return (b - budget) / a if a else t
+        a += li * li
+        b += li * yi
+    return (b - budget) / a if a else -math.inf
 
-    Dykstra's alternating projections over the K+1 prefix half-spaces and the
-    nonnegative orthant; exact for this intersection and cheap at these
-    dimensions.  A point already inside, as the sweep tests it, is returned
-    without sweeping: the first sweep would move nothing but -0.0 to 0.0.
+
+def _pav(blocks, price):
+    """Pool adjacent violators over consecutive index ranges (start, stop):
+    a pool absorbs the one before it, and is re-priced by price(start,
+    stop), while its price exceeds that one's.  Returns (start, stop, price)
+    per pool, prices nonincreasing."""
+    pools = []
+    for s, e in blocks:
+        w = price(s, e)
+        while pools and w > pools[-1][2]:
+            s = pools.pop()[0]
+            w = price(s, e)
+        pools.append((s, e, w))
+    return pools
+
+
+def project_causality(p, lengths, caps):
+    """Euclidean projection onto {x >= 0, cumsum(x*lengths) <= caps}.
+
+    x_i = max(0, p_i - l_i*U_i) with U the suffix sum of the prefix
+    multipliers; :func:`_pav` finds U exactly from one block per epoch, each
+    pool spending its harvest at the price of :func:`_level`, clipped at 0.
+    A point already inside is returned as it is (-0.0 read as 0.0).
     """
     x = np.array(p, dtype=float)
-    if max_sweeps > 0 and _inside(x, lengths, caps):
-        x = x + 0.0
-    else:
-        x = _dykstra(x, lengths, caps, tol, max_sweeps)
-    x = np.maximum(x, 0.0)
-    # remove any residual prefix violation exactly (largest-index first)
-    n = len(lengths)
-    spend = (x * lengths).cumsum()
-    for k in range(n - 1, -1, -1):
-        excess = spend[k] - caps[k]
-        if excess > 0.0:
-            for i in range(k, -1, -1):
-                take = min(excess, x[i] * lengths[i])
-                x[i] -= take / lengths[i]
-                excess -= take
-                if excess <= 0.0:
-                    break
-            spend = (x * lengths).cumsum()
-    return x
+    if _inside(x, lengths, caps):
+        return x + 0.0
+    l, y = np.asarray(lengths, dtype=float).tolist(), x.tolist()
+    c = [0.0] + np.asarray(caps, dtype=float).tolist()
+    u = np.zeros(len(l))
+    for s, e, w in _pav(((i, i + 1) for i in range(len(l))), lambda s, e: _level(
+            l[s:e], y[s:e], c[e] - c[s], [False] * (e - s))):
+        u[s:e] = max(w, 0.0)
+    return np.maximum(x - lengths * u, 0.0)
 
 
 def _inside(x, lengths, caps):
     """Whether x holds one finite, nonnegative power per epoch and no prefix
-    k has x[:k+1] @ lengths[:k+1] > caps[k], the test of :func:`_dykstra`."""
+    k has x[:k+1] @ lengths[:k+1] > caps[k]."""
     if not (x.shape == (len(lengths),) and x.size and x.min() >= 0.0
             and x.max() < np.inf):
         return False
     return all(float(x[: k + 1] @ lengths[: k + 1]) <= caps[k]
                for k in range(len(lengths)))
-
-
-def _dykstra(x, lengths, caps, tol, max_sweeps):
-    """Dykstra's sweeps of :func:`project_causality`, from x."""
-    n = len(lengths)
-    corr = np.zeros((n + 1, n))
-    norms2 = np.cumsum(lengths * lengths)
-    scale = max(1.0, float(np.max(np.abs(x))), float(caps[-1]))
-    for _ in range(max_sweeps):
-        x_prev = x.copy()
-        for k in range(n):
-            y = x + corr[k]
-            viol = float(y[: k + 1] @ lengths[: k + 1]) - caps[k]
-            if viol > 0.0:
-                xk = y.copy()
-                xk[: k + 1] -= viol * lengths[: k + 1] / norms2[k]
-            else:
-                xk = y
-            corr[k] = y - xk
-            x = xk
-        y = x + corr[n]
-        x = np.maximum(y, 0.0)
-        corr[n] = y - x
-        if np.max(np.abs(x - x_prev)) <= tol * scale:
-            break
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +386,12 @@ def _true_gradients(ch, l, lam, p1, p2):
     return l * d1, l * d2
 
 
-def _eliminated(caps):
-    """Epochs whose cumulative cap is exactly zero: the power is structurally
-    forced to 0 there and the variable is removed from the KKT system (no
-    finite multiplier exists because the rate has unbounded slope at 0)."""
-    return caps <= 0.0
-
-
 def _nodes(alloc, caps, spends):
     """Per node (powers, caps, prefix slack spend - caps, kept epochs): what
-    the dual fit and the KKT report both read."""
-    return [(p, c, spend - c, ~_eliminated(c))
+    the dual fit and the KKT report both read.  An epoch whose cumulative cap
+    is 0 is not kept: its power is forced to 0 and has no finite multiplier,
+    the rate's slope being unbounded at 0."""
+    return [(p, c, spend - c, ~(c <= 0.0))
             for p, c, spend in zip((alloc.p1, alloc.p2), caps, spends)]
 
 
@@ -446,48 +441,53 @@ def _kkt_report(l, nodes, duals, grads):
                      feasibility=feasibility)
 
 
-def recover_duals(ch, profile, alloc, lam, active_tol=None):
-    """Fit multipliers to the stationarity system by nonnegative least squares.
-
-    Only constraints that are active at the primal point receive a
-    multiplier (inactive ones keep 0, which makes their slackness products
-    vanish identically); within the active set scipy's NNLS minimizes the
-    stationarity residual subject to dual feasibility.  scipy.optimize is
-    imported by the first fit, not with this module.
-    """
+def recover_duals(ch, profile, alloc, lam):
+    """Fit multipliers to the stationarity system by least squares under
+    dual feasibility, exactly (:func:`_fit_duals`).  Only constraints active
+    at the primal point receive a multiplier (inactive ones keep 0, which
+    makes their slackness products vanish identically)."""
     l, caps = _lengths_caps(profile)
     lam = np.asarray(lam, dtype=float)
     spends = _spends(alloc, l)
     grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
-    return _fit_duals(l, _nodes(alloc, caps, spends), grads, active_tol)
+    return _fit_duals(l, _nodes(alloc, caps, spends), grads)
 
 
-def _fit_duals(l, nodes, grads, active_tol=None):
+def _fit_duals(l, nodes, grads):
     """:func:`recover_duals` from the :func:`_nodes` terms and the objective
-    gradients grads of the allocation.  A node with no active constraint,
-    or no kept epoch, keeps zero multipliers without a fit."""
+    gradients grads of the allocation.
+
+    Per node, the suffix price U_i = sum_{k>=i} xi_k is shared by the kept
+    epochs between active prefixes, is 0 after the last and is fitted by
+    :func:`_pav` at budget 0.  An epoch with p > 0 costs (g - l*U)^2, one at
+    an active zero bound max(0, g - l*U)^2 with vartheta = max(0, l*U - g).
+    Eliminated epochs (cap 0) lead, as caps do not fall, and are dropped.
+    A node with no active constraint or kept epoch, or a non-finite
+    gradient, keeps zero multipliers."""
     n = len(l)
+    lf = l.tolist()
     mults = []
     for (p, c, slack, keep), g in zip(nodes, grads):
-        prefix_mult = np.zeros(n)
-        zero_mult = np.zeros(n)
+        prefix_mult, zero_mult = [0.0] * n, [0.0] * n
         mults += [prefix_mult, zero_mult]
-        tol = active_tol if active_tol is not None else 1e-7 * max(1.0, c[-1])
-        act_pref = (np.abs(slack) <= tol).nonzero()[0]
-        p_scale = max(1.0, float(p.max()) if p.size else 1.0)
-        act_zero = ((p <= 1e-9 * p_scale) & keep).nonzero()[0]
-        m, z = act_pref.size, act_zero.size
-        b = g[keep]
-        if not (b.size and m + z) or not np.isfinite(b).all():
+        kept, gf = keep.tolist(), g.tolist()
+        first = kept.index(True) if True in kept else n
+        tol = 1e-7 * max(1.0, float(c[-1]))
+        ends = [k + 1 for k, v in enumerate(slack.tolist())
+                if k >= first and abs(v) <= tol]
+        p_tol = 1e-9 * max(1.0, float(p.max()))
+        fixed = [not v <= p_tol for v in p.tolist()]
+        at_zero = [i for i in range(first, n) if not fixed[i]]
+        if not (ends or at_zero) or not all(map(math.isfinite, gf[first:])):
             continue
-        # prefix k's column holds l_i for i <= k; the bound p_i >= 0 is -e_i
-        A = np.zeros((n, m + z))
-        np.copyto(A[:, :m], l[:, None], where=np.arange(n)[:, None] <= act_pref)
-        A[act_zero, m + np.arange(z)] = -1.0
-        import scipy.optimize
-        x, _ = scipy.optimize.nnls(A[keep], b)
-        prefix_mult[act_pref] = x[:m]
-        zero_mult[act_zero] = x[m:]
+        u = [0.0] * (n + 1)
+        for s, e, w in _pav(zip([first] + ends[:-1], ends), lambda s, e: _level(
+                lf[s:e], gf[s:e], 0.0, fixed[s:e])):
+            u[s:e] = [max(w, 0.0)] * (e - s)
+        for e in ends:
+            prefix_mult[e - 1] = u[e - 1] - u[e]
+        for i in at_zero:
+            zero_mult[i] = max(lf[i] * u[i] - gf[i], 0.0)
     return DualVariables(xi=mults[0], vartheta=mults[1],
                          mu=mults[2], eta=mults[3])
 
@@ -741,8 +741,7 @@ def _solve(ch, profile, lam, cfg, warm=None):
     SLSQP never starts from warm: from arbitrary starts it can stop early
     ("Inequality constraints incompatible") far from the optimum.
     For a <= 1 (lam = 0) the rate is R_bc(p1) alone: the source staircase
-    is exact and the relay keeps its own.  b != 1 raises ProfileError: the
-    reduction to the cone and the certificate hold only for b = 1.
+    is exact and the relay keeps its own.  b != 1 raises ProfileError.
     """
     waived = require_valid(profile, allow_degenerate=True)
     warn = ()
@@ -790,15 +789,13 @@ def solve_minmax(ch, profile, cfg=None):
 
     The concave program of the module docstring, solved with the min-max
     weights lambda = 1 (a > 1) or 0 (a <= 1) by the shared core: the
-    repaired staircase start when it certifies at tol_inner (so a loose
-    tol_inner accepts the start as soon as it certifies at that
-    tolerance), else SLSQP from it and, if that point does not certify
-    either, the active-face Newton polish; each candidate is repaired
-    exactly onto the feasible set and the cone.  converged is set by the
-    independent certificate alone (KKT residual <= tol_inner and
-    minmax_gap <= 10*tol_outer), whatever the optimizer reported.  b != 1
-    raises ProfileError: the reduction and the certificate hold only for
-    b = 1.
+    repaired staircase start when it certifies at tol_inner, else SLSQP
+    from it and, if that point does not certify either, the active-face
+    Newton polish; each candidate is repaired exactly onto the feasible set
+    and the cone.  converged is set by the independent certificate alone
+    (KKT residual <= tol_inner and minmax_gap <= 10*tol_outer), whatever
+    the optimizer reported.  b != 1 raises ProfileError: the reduction and
+    the certificate hold only for b = 1.
     """
     cfg = cfg or SolverConfig()
     lam = np.full(profile.n_epochs, 1.0 if ch.a > 1.0 else 0.0)
@@ -808,11 +805,10 @@ def solve_minmax(ch, profile, cfg=None):
 def solve_inner(ch, profile, lam, cfg=None, warm=None):
     """Maximize the weighted throughput for fixed per-epoch weights.
 
-    The objective is sum_i l_i*[lam_i*R_ma + (1-lam_i)*R_bc].  An optimum
-    lies in the cone (module docstring), so this is :func:`solve_minmax`'s
-    program under the weights lam, solved by the same core: the start is
-    certified first, then SLSQP and the face-Newton polish run if needed.
-    warm, repaired onto the feasible set and the cone, is the start that is
+    The objective is sum_i l_i*[lam_i*R_ma + (1-lam_i)*R_bc], whose optimum
+    lies in the cone (module docstring): :func:`solve_minmax`'s program
+    under the weights lam, solved by the same core.  warm, one finite power
+    per epoch and node, is repaired onto the feasible set and the cone and
     certified first; if it does not certify, the solve goes on as without
     it.  For a <= 1 (all weights 0) the source staircase is exact and warm
     is ignored.  b != 1 raises ProfileError.
@@ -821,8 +817,7 @@ def solve_inner(ch, profile, lam, cfg=None, warm=None):
     the weighted objective, the independently recomputed KktReport, the
     convergence flag (KKT residual <= tol_inner), the gradient evaluations
     of SLSQP and the polish, and the warnings.  Non-convergence is
-    reported, not raised: the best point and its residuals are returned
-    for the caller to judge.
+    reported, not raised.
     """
     cfg = cfg or SolverConfig()
     n = profile.n_epochs
@@ -834,6 +829,10 @@ def solve_inner(ch, profile, lam, cfg=None, warm=None):
     if ch.a <= 1.0 and np.any(lam > 0.0):
         raise BranchUndefinedError(
             "a <= 1 forces all weights to 0 (multi-access bound undefined)")
+    if warm is not None and not (warm.p1.shape == (n,) and np.isfinite(
+            warm.p1).all() and np.isfinite(warm.p2).all()):
+        raise ValueError("warm must hold one finite power per epoch (%d) for "
+                         "each node" % n)
     audit, counters, warn = _solve(ch, profile, lam, cfg, warm)
     alloc = audit.alloc
     return alloc, audit.duals, {

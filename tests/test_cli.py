@@ -9,7 +9,12 @@ import pytest
 
 from ehrelay import ChannelParams, proportionality
 from ehrelay.cli import main
-from support import make_profile, worked_proportional, write_problem
+from support import (
+    make_profile,
+    random_instance,
+    worked_proportional,
+    write_problem,
+)
 
 CH = ChannelParams(a=2.0, b=1.0, noise=1.0)
 
@@ -70,13 +75,31 @@ class TestSolve:
         rc = main(["solve", path, "--out", str(tmp_path)])
         assert rc == 3
 
-    def test_nonconvergence_exit_4_with_partial_output(self, worked_file):
-        path, tmp = worked_file
+    def test_nonconvergence_exit_4_with_partial_output(self, tmp_path):
+        # SLSQP runs here and its point does not certify at 1e-30
+        ch, prof = random_instance(np.random.default_rng(5), 2, a_low_frac=0.0)
+        path = write_problem(tmp_path / "slsqp.json", ch, prof)
         rc = main(["solve", path, "--case", "general", "--tol-inner", "1e-30",
-                   "--out", str(tmp)])
+                   "--out", str(tmp_path)])
         assert rc == 4
-        out = _read(tmp / "worked_schedule.json")  # partial output exists
+        out = _read(tmp_path / "slsqp_schedule.json")  # partial output exists
         assert out["converged"] is False
+
+    @pytest.mark.parametrize("case, e1, e2", [
+        ("proportional", [4, 6], [2, 5]),
+        ("relay-only", [4, 6], [2, 5]),
+        ("source-only", [4, 6], [2, 5]),
+        ("relay-only", [0, 6], [2, 5]),
+        ("source-only", [4, 0], [0, 5]),
+    ])
+    def test_case_not_matching_profile_exit_3(self, tmp_path, capsys, case,
+                                              e1, e2):
+        path = write_problem(tmp_path / "p.json", CH,
+                             make_profile([0, 2], e1, e2, 5.0))
+        rc = main(["solve", path, "--case", case, "--out", str(tmp_path)])
+        assert rc == 3
+        assert "validation error" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "p_schedule.json")
 
     def test_determinism_byte_identical_schedule(self, worked_file):
         path, tmp = worked_file
@@ -189,6 +212,21 @@ class TestCheck:
         rc = main(["check", path, str(edited)])
         assert rc == 1
         assert "feasibility" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field", ["p1", "p2", "rate_bits"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_rows_exit_2(self, worked_file, capsys, field, value):
+        path, tmp = worked_file
+        main(["solve", path, "--out", str(tmp)])
+        sched = _read(tmp / "worked_schedule.json")
+        sched["schedule"][1][field] = value  # json writes NaN, Infinity
+        edited = tmp / "edited.json"
+        edited.write_text(json.dumps(sched))
+        capsys.readouterr()
+        rc = main(["check", path, str(edited)])
+        assert rc == 2
+        assert "%s must be finite" % field in capsys.readouterr().err
 
     def test_mismatched_epochs_exit_3(self, worked_file, tmp_path):
         path, tmp = worked_file

@@ -1,14 +1,23 @@
-"""Where scipy is loaded: the solver imports it where it calls it, so the
-package import, the grid oracle, schedule checks, --help and the CLI's parse
-and validation errors run without it in a fresh interpreter."""
+"""Where scipy is loaded: only the SLSQP solve of the schedule program
+imports it, where it calls it.  The package import, the grid oracle,
+schedule checks, --help, the CLI's parse and validation errors, a closed
+form and a solve whose start certifies run without it in a fresh
+interpreter."""
 
 import os
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
+
 from ehrelay.cli import main
-from support import make_profile, worked_proportional, write_problem
+from support import (
+    make_profile,
+    random_instance,
+    worked_proportional,
+    write_problem,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -18,12 +27,13 @@ CHILD = textwrap.dedent("""
     import ehrelay, ehrelay.cli
     from ehrelay import (ChannelParams, GridConfig, HarvestEvent,
                          HarvestProfile, grid_search, solve_minmax)
+    from ehrelay.profile import load_problem
 
     def loaded():
         return sorted(m for m in sys.modules
                       if m == "scipy" or m.startswith("scipy."))
 
-    problem, schedule, bad, out = sys.argv[1:]
+    problem, schedule, bad, slsqp, out = sys.argv[1:]
     ch = ChannelParams(a=2.0, b=1.0, noise=1.0)
     prof = HarvestProfile(events=(HarvestEvent(0.0, 4.0, 2.0),
                                   HarvestEvent(3.0, 4.0, 2.0)), horizon=6.0)
@@ -35,15 +45,18 @@ CHILD = textwrap.dedent("""
                                        "--out", out]))
         codes.append(ehrelay.cli.main(["check", problem, schedule]))
         codes.append(ehrelay.cli.main(["solve", bad, "--out", out]))
+        codes.append(ehrelay.cli.main(["solve", problem, "--out", out]))
         for argv in (["--help"], ["solve", problem, "--seed", "0"]):
             try:
                 ehrelay.cli.main(argv)
             except SystemExit as exc:
                 codes.append(exc.code)
-    assert codes == [0, 0, 3, 0, 2], codes
-    assert not loaded(), loaded()
+    assert codes == [0, 0, 3, 0, 0, 2], codes
     sol = solve_minmax(ch, prof)
-    assert sol.converged and sol.kkt.certified(1e-7), sol.kkt
+    assert sol.converged and sol.iterations.inner_solves == 0, sol
+    assert not loaded(), loaded()
+    sol = solve_minmax(*load_problem(slsqp))
+    assert sol.converged and sol.iterations.inner_solves == 1, sol
     assert "scipy.optimize" in loaded()
     print("ok")
 """)
@@ -55,11 +68,14 @@ def test_scipy_loads_only_with_the_first_solve(tmp_path, capsys):
     # a horizon before the last event fails validation (exit 3)
     bad = write_problem(tmp_path / "bad.json", worked_proportional()[0],
                         make_profile([0.0, 2.0], [2.0, 1.0], [1.0, 1.0], 1.0))
+    # the staircase start of this instance does not certify: SLSQP runs
+    slsqp = write_problem(tmp_path / "slsqp.json", *random_instance(
+        np.random.default_rng(5), 2, a_low_frac=0.0))
     capsys.readouterr()
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, problem,
-         str(tmp_path / "worked_schedule.json"), bad, str(tmp_path)],
+         str(tmp_path / "worked_schedule.json"), bad, slsqp, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
