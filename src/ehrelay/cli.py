@@ -23,6 +23,7 @@ the manifest's wall-clock duration field.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -282,6 +283,14 @@ def cmd_check(args):
                                      "finite" % name)
     alloc = Allocation(p1=p1, p2=p2)
     stored_total = data.get("total_bits")
+    if "total_bits" in data:
+        try:
+            ok = not isinstance(stored_total, bool) and math.isfinite(stored_total)
+        except (TypeError, OverflowError):  # not a number, or an int too large
+            ok = False
+        if not ok:
+            raise ProfileFormatError("schedule file's total_bits must be a "
+                                     "finite number")
     results = invariant_report(ch, profile, alloc, stored_rates=stored_rates,
                                stored_total=stored_total)
     all_ok = True

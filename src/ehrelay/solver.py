@@ -41,7 +41,8 @@ weights lambda_i in [0, 1]; it serves the envelope-convexity checks.  R_bc
 does not depend on p2 and R_ma does not rise in p2 beyond the cone, so for
 every lambda an optimum lies in the cone and the weighted problem is the
 same concave program with a weighted objective.  Both solvers run it
-through one core: start, certificate, SLSQP, face-Newton polish.
+through one core: start, certificate, SLSQP, and at most three Newton steps
+on the face active at SLSQP's point (:func:`_newton_step`).
 
 scipy.optimize is imported by the first SLSQP solve, not with this module:
 schedule checks, certificates, closed forms, starts that certify, the grid
@@ -70,6 +71,10 @@ from .capacity import (
 from .profile import RELAY, SOURCE, ProfileError, _node_arrays, require_valid
 
 FEASIBILITY_RTOL = 1e-9
+# the relay power at which the program's gradient is taken when it is
+# smaller: R_ma's slope in p2 grows like 1/sqrt(p2), so at p2 -> 0 it swamps
+# every other entry of the gradient
+GRAD_FLOOR = 1e-12
 
 __all__ = [
     "Allocation",
@@ -156,7 +161,7 @@ class KktReport:
 class IterationCounters:
     """What :func:`solve_minmax` ran.  inner_solves is 1 when SLSQP ran and 0
     when the staircase start certified (always for a <= 1); inner_gradients
-    counts the gradient evaluations of SLSQP and of the face-Newton polish.
+    counts the gradient evaluations of SLSQP plus 5 per Newton step.
     outer is always 0: b = 1 solves need no outer weight loop.  Closed forms
     report all zeros."""
 
@@ -213,11 +218,6 @@ class SolverConfig:
 
 # ---------------------------------------------------------------------------
 # Schedule evaluation
-
-
-def _prefix_matrix(lengths):
-    n = len(lengths)
-    return np.tril(np.ones((n, n))) * lengths[None, :]
 
 
 def _lengths_caps(profile):
@@ -467,22 +467,17 @@ def _fit_duals(l, nodes, grads):
     n = len(l)
     lf = l.tolist()
     mults = []
-    for (p, c, slack, keep), g in zip(nodes, grads):
+    for node, g in zip(nodes, grads):
         prefix_mult, zero_mult = [0.0] * n, [0.0] * n
         mults += [prefix_mult, zero_mult]
-        kept, gf = keep.tolist(), g.tolist()
-        first = kept.index(True) if True in kept else n
-        tol = 1e-7 * max(1.0, float(c[-1]))
-        ends = [k + 1 for k, v in enumerate(slack.tolist())
-                if k >= first and abs(v) <= tol]
-        p_tol = 1e-9 * max(1.0, float(p.max()))
-        fixed = [not v <= p_tol for v in p.tolist()]
-        at_zero = [i for i in range(first, n) if not fixed[i]]
+        first, ends, positive = _active(*node)
+        gf = g.tolist()
+        at_zero = [i for i in range(first, n) if not positive[i]]
         if not (ends or at_zero) or not all(map(math.isfinite, gf[first:])):
             continue
         u = [0.0] * (n + 1)
         for s, e, w in _pav(zip([first] + ends[:-1], ends), lambda s, e: _level(
-                lf[s:e], gf[s:e], 0.0, fixed[s:e])):
+                lf[s:e], gf[s:e], 0.0, positive[s:e])):
             u[s:e] = [max(w, 0.0)] * (e - s)
         for e in ends:
             prefix_mult[e - 1] = u[e - 1] - u[e]
@@ -492,8 +487,23 @@ def _fit_duals(l, nodes, grads):
                          mu=mults[2], eta=mults[3])
 
 
+def _active(p, c, slack, keep):
+    """One node's active set from its :func:`_nodes` terms, as the dual fit
+    and the Newton step read it: (first kept epoch, the ends k+1 of the
+    prefixes from there on with |slack| <= 1e-7*max(1, c[-1]), whether each
+    epoch's power is positive: kept and above 1e-9*max(1, max p))."""
+    kept = keep.tolist()
+    first = kept.index(True) if True in kept else len(kept)
+    tol = 1e-7 * max(1.0, float(c[-1]))
+    ends = [k + 1 for k, v in enumerate(slack.tolist())
+            if k >= first and abs(v) <= tol]
+    p_tol = 1e-9 * max(1.0, float(p.max()))
+    return first, ends, [k >= first and not v <= p_tol
+                         for k, v in enumerate(p.tolist())]
+
+
 # ---------------------------------------------------------------------------
-# Staircase start and the active-face Newton polish
+# Staircase start and the active-face Newton step
 
 
 def _warm_start(profile):
@@ -511,120 +521,6 @@ def _warm_start(profile):
     return p[0], p[1]
 
 
-class _InnerProblem:
-    """The weighted objective sum_i l_i*weighted_rate and its gradient over
-    the stacked powers x = [p1; p2], with both nodes' prefix rows and caps,
-    for the face-Newton polish.  The cone is not among its constraints: the
-    caller lowers p2 onto it after the polish."""
-
-    GRAD_FLOOR = 1e-12
-
-    def __init__(self, ch, profile, lam):
-        self.ch = ch
-        self.lam = np.asarray(lam, dtype=float)
-        self.l, (self.c1, self.c2) = _lengths_caps(profile)
-        self.n = n = len(self.l)
-        self.rows = np.zeros((2 * n, 2 * n))
-        self.rows[:n, :n] = self.rows[n:, n:] = _prefix_matrix(self.l)
-        self.caps = np.concatenate([self.c1, self.c2])
-        self.scale = max(1.0, float(self.c1[-1]), float(self.c2[-1]))
-        self.grad_calls = 0
-
-    def objective(self, x):
-        p1 = np.maximum(x[: self.n], 0.0)
-        p2 = np.maximum(x[self.n:], 0.0)
-        r = weighted_rate(self.ch, p1, p2, self.lam)
-        return float(np.sum(self.l * r))
-
-    def gradient(self, x):
-        self.grad_calls += 1
-        p1 = np.maximum(x[: self.n], 0.0)
-        p2 = np.maximum(x[self.n:], self.GRAD_FLOOR)
-        d1, d2 = weighted_rate_grad(self.ch, p1, p2, self.lam)
-        return np.concatenate([self.l * d1, self.l * d2])
-
-    def active(self, x):
-        """The prefix rows active at x, and the outward normals of every
-        active constraint: those rows, then -e_i for each power at 0."""
-        act_pref = np.flatnonzero(self.rows @ x >= self.caps - 1e-7 * self.scale)
-        act_zero = np.flatnonzero(x <= 1e-9 * max(1.0, float(np.max(x))))
-        return act_pref, np.vstack([self.rows[act_pref],
-                                    -np.eye(2 * self.n)[act_zero]])
-
-
-def _face_newton(prob, x, act_pref, normals, max_newton=40):
-    """Newton ascent on the face where the active constraints (outward
-    normals) hold with equality.  The Hessian is a finite difference of the
-    gradient in the face basis; where the Newton step does not ascend, the
-    steepest ascent is taken.  Each step is cut at the first inactive prefix
-    row or zero bound it reaches and halved until the objective does not
-    fall."""
-    # the face basis: right singular vectors beyond the numerical rank
-    _, s, vh = np.linalg.svd(normals)
-    rank = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps
-                      * max(normals.shape)))
-    Z = vh[rank:].T
-    if Z.shape[1] == 0:
-        return x
-    inactive = np.ones(2 * prob.n, dtype=bool)
-    inactive[act_pref] = False
-    fx = prob.objective(x)
-    for _ in range(max_newton):
-        g = prob.gradient(x)
-        gz = Z.T @ g
-        if float(np.max(np.abs(gz))) <= 1e-13 * max(1.0, abs(fx)) + 1e-15:
-            break
-        h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
-        H = np.column_stack([
-            Z.T @ (prob.gradient(np.maximum(x + h * z, 0.0))
-                   - prob.gradient(np.maximum(x - h * z, 0.0))) / (2.0 * h)
-            for z in Z.T])
-        try:
-            d = np.linalg.solve(-0.5 * (H + H.T), gz)
-        except np.linalg.LinAlgError:
-            d = gz
-        if float(d @ gz) <= 0.0:
-            d = gz
-        dx = Z @ d
-
-        # largest feasible step along dx
-        den = prob.rows @ dx
-        rises = inactive & (den > 1e-15)
-        falls = (dx < -1e-15) & (x > 0.0)
-        alpha = min(1.0, *((prob.caps - prob.rows @ x)[rises] / den[rises]),
-                    *(x[falls] / -dx[falls]))
-        if alpha <= 0.0:
-            break
-        while alpha > 1e-16:
-            x_try = np.maximum(x + alpha * dx, 0.0)
-            f_try = prob.objective(x_try)
-            if f_try >= fx:
-                x, fx = x_try, f_try
-                break
-            alpha *= 0.5
-        else:
-            break
-    return x
-
-
-def _polish_and_certify(prob, x, cfg, max_rounds=14):
-    """Active-set Newton refinement: each round runs :func:`_face_newton` on
-    the face active at x and returns the point once the independent
-    certificate accepts it at tol_inner; otherwise :func:`_release_step`
-    leaves a face that blocks ascent.  Returns the last point reached."""
-    for _ in range(max_rounds):
-        x = _face_newton(prob, x, *prob.active(x))
-        alloc = Allocation(p1=x[: prob.n], p2=x[prob.n:])
-        if _certificate(prob.ch, prob.l, alloc, prob.lam, (prob.c1, prob.c2),
-                        _spends(alloc, prob.l))[1].certified(cfg.tol_inner):
-            return x
-        released = _release_step(prob, x)
-        if released is None:
-            break
-        x = released
-    return x
-
-
 def _certificate(ch, l, alloc, lam, caps, spends):
     """(duals, KktReport) of alloc under the float weights lam, as
     :func:`recover_duals` and :func:`kkt_residual` give them, from one
@@ -635,23 +531,53 @@ def _certificate(ch, l, alloc, lam, caps, spends):
     return duals, _kkt_report(l, nodes, duals, grads)
 
 
-def _release_step(prob, x):
-    """Try to leave a face that blocks ascent: if some active constraint's
-    unsigned least-squares multiplier is negative, return a point slightly
-    inside along the gradient, projected onto both polytopes; else None."""
-    normals = prob.active(x)[1]
-    if not normals.size:
-        return None
-    g = prob.gradient(x)
-    sol, *_ = np.linalg.lstsq(normals.T, g, rcond=None)
-    if np.all(sol >= -1e-10):
-        return None
-    y = x + 1e-6 * prob.scale * g / max(1.0, float(np.max(np.abs(g))))
-    x_new = np.concatenate([project_causality(y[: prob.n], prob.l, prob.c1),
-                            project_causality(y[prob.n:], prob.l, prob.c2)])
-    if np.max(np.abs(x_new - x)) <= 1e-15 * prob.scale:
-        return None
-    return x_new
+def _newton_step(ch, l, lam, caps, alloc):
+    """One Newton step of the weighted program from alloc on the face active
+    there (:func:`_active`): tight prefixes stay tight and powers at 0 stay
+    at 0.  The cone is not among its constraints: the caller lowers p2 onto
+    it.  Returns the stacked powers [p1; p2], to be repaired.
+
+    The objective is a sum over epochs, so its Hessian is block diagonal,
+    one 2x2 block per epoch; four gradients give every block by central
+    differences with steps of 1e-6 times each power, at least 1e-9.  The
+    gradient is projected onto the face's null space and the step solved by
+    least squares, since a weight of 0 makes a block singular.
+    """
+    n = len(l)
+    x = np.concatenate([alloc.p1, alloc.p2])
+
+    def grad(y):
+        return np.concatenate(_true_gradients(
+            ch, l, lam, np.maximum(y[:n], 0.0), np.maximum(y[n:], GRAD_FLOOR)))
+
+    h = np.maximum(1e-6 * x, 1e-9).reshape(2, n)
+    d = []  # d[j][m]: the derivative of node m's gradient in node j's power
+    for j in (0, 1):
+        e = np.zeros((2, n))
+        e[j] = h[j]
+        d.append((grad(x + e.ravel()) - grad(x - e.ravel())).reshape(2, n)
+                 / (2.0 * h[j]))
+    off = np.diag(0.5 * (d[0][1] + d[1][0]))
+    H = np.block([[np.diag(d[0][0]), off], [off, np.diag(d[1][1])]])
+
+    P = np.tril(np.ones((n, n))) * l
+    rows, free = [], []
+    for j, node in enumerate(_nodes(alloc, caps, _spends(alloc, l))):
+        _, ends, positive = _active(*node)
+        tight = np.zeros((len(ends), 2 * n))
+        tight[:, j * n:(j + 1) * n] = P[[e - 1 for e in ends]]
+        rows.append(tight)
+        free += positive
+    # the face basis: right singular vectors beyond the numerical rank
+    A = np.vstack(rows)[:, free]
+    _, s, vh = np.linalg.svd(A)
+    rank = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps
+                      * max(A.shape)))
+    Z = vh[rank:].T
+    dz = np.linalg.lstsq(-Z.T @ H[np.ix_(free, free)] @ Z,
+                         Z.T @ grad(x)[free], rcond=None)[0]
+    x[free] += Z @ dz
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +606,7 @@ def _concave_program(ch, l, lam, c1, c2, x0, max_iter):
         # R_ma for b = 1 with the factor p1 cancelled: C((u + v)^2 / (a^2 N));
         # R_bc = C(a^2 p1 / N)
         p1 = np.maximum(x[:n], 0.0)
-        p2 = np.maximum(x[n:], 1e-300)
+        p2 = np.maximum(x[n:], GRAD_FLOOR)
         u = np.sqrt(np.maximum(a2 * p1 - p2, 1e-300))
         v = np.sqrt(k * p2)
         return p1, u, v, (u + v) ** 2 / scale
@@ -712,7 +638,7 @@ def _concave_program(ch, l, lam, c1, c2, x0, max_iter):
         return -np.concatenate([d1, dc * d2])[free]
 
     # both prefix systems and the cone as one inequality A x <= caps
-    P = _prefix_matrix(l)
+    P = np.tril(np.ones((n, n))) * l
     Z = np.zeros((n, n))
     A = np.block([[P, Z], [Z, P], [-k * np.eye(n), np.eye(n)]])[:, free]
     caps = np.concatenate([c1, c2, np.zeros(n)])
@@ -736,8 +662,9 @@ def _solve(ch, profile, lam, cfg, warm=None):
     polytope, p2 lowered onto the cone.  It is returned as it is when the
     independent certificate accepts it at tol_inner.  Otherwise the concave
     program is solved by SLSQP from the staircase start and the result
-    repaired the same way; if that point does not certify either, an
-    active-face Newton polish refines it and the repair is applied again.
+    repaired the same way; while that point does not certify, up to three
+    Newton steps on its active face (:func:`_newton_step`) follow, each
+    repaired and certified in turn.
     SLSQP never starts from warm: from arbitrary starts it can stop early
     ("Inequality constraints incompatible") far from the optimum.
     For a <= 1 (lam = 0) the rate is R_bc(p1) alone: the source staircase
@@ -771,14 +698,14 @@ def _solve(ch, profile, lam, cfg, warm=None):
     if ch.a > 1.0 and not audit.kkt.certified(cfg.tol_inner):
         x, grads = _concave_program(ch, l, lam, c1, c2, x0, cfg.max_iter_inner)
         audit = _audit(ch, profile, repaired(x), lam)
-        if not audit.kkt.certified(cfg.tol_inner):
-            # SLSQP stops once the objective stalls in its last bit, which
-            # can leave the powers about 1e-8 off; Newton steps on the active
-            # face of the weighted program finish them
-            prob = _InnerProblem(ch, profile, lam)
-            x = _polish_and_certify(
-                prob, np.concatenate([audit.alloc.p1, audit.alloc.p2]), cfg)
-            grads += prob.grad_calls
+        # SLSQP stops once the objective stalls in its last bit, which can
+        # leave the powers about 1e-8 off; Newton steps on the active face of
+        # the weighted program finish them
+        for _ in range(3):
+            if audit.kkt.certified(cfg.tol_inner):
+                break
+            x = _newton_step(ch, l, lam, (c1, c2), audit.alloc)
+            grads += 5
             audit = _audit(ch, profile, repaired(x), lam)
         counters = IterationCounters(inner_solves=1, inner_gradients=grads)
     return audit, counters, warn
@@ -790,12 +717,12 @@ def solve_minmax(ch, profile, cfg=None):
     The concave program of the module docstring, solved with the min-max
     weights lambda = 1 (a > 1) or 0 (a <= 1) by the shared core: the
     repaired staircase start when it certifies at tol_inner, else SLSQP
-    from it and, if that point does not certify either, the active-face
-    Newton polish; each candidate is repaired exactly onto the feasible set
-    and the cone.  converged is set by the independent certificate alone
-    (KKT residual <= tol_inner and minmax_gap <= 10*tol_outer), whatever
-    the optimizer reported.  b != 1 raises ProfileError: the reduction and
-    the certificate hold only for b = 1.
+    from it and, while that point does not certify, up to three Newton
+    steps on the face active there; each candidate is repaired exactly onto
+    the feasible set and the cone.  converged is set by the independent
+    certificate alone (KKT residual <= tol_inner and minmax_gap <=
+    10*tol_outer), whatever the optimizer reported.  b != 1 raises
+    ProfileError: the reduction and the certificate hold only for b = 1.
     """
     cfg = cfg or SolverConfig()
     lam = np.full(profile.n_epochs, 1.0 if ch.a > 1.0 else 0.0)
@@ -816,7 +743,7 @@ def solve_inner(ch, profile, lam, cfg=None, warm=None):
     Returns (Allocation, DualVariables, report) where report is a dict with
     the weighted objective, the independently recomputed KktReport, the
     convergence flag (KKT residual <= tol_inner), the gradient evaluations
-    of SLSQP and the polish, and the warnings.  Non-convergence is
+    (SLSQP's plus 5 per Newton step), and the warnings.  Non-convergence is
     reported, not raised.
     """
     cfg = cfg or SolverConfig()

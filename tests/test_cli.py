@@ -228,6 +228,29 @@ class TestCheck:
         assert rc == 2
         assert "%s must be finite" % field in capsys.readouterr().err
 
+    # a total that is not a finite number is malformed (exit 2); an absent
+    # one is not checked (exit 0), a wrong number fails the check (exit 1)
+    @pytest.mark.parametrize("value, rc", [
+        ("abc", 2), ([1], 2), (None, 2), (True, 2), (float("nan"), 2),
+        (float("inf"), 2), (float("-inf"), 2), (10 ** 400, 2),
+        ("absent", 0), (1, 1),
+    ], ids=["str", "list", "null", "bool", "nan", "inf", "-inf", "huge-int",
+            "absent", "wrong-int"])
+    def test_total_bits_validated(self, worked_file, capsys, value, rc):
+        path, tmp = worked_file
+        main(["solve", path, "--out", str(tmp)])
+        sched = _read(tmp / "worked_schedule.json")
+        if value == "absent":
+            del sched["total_bits"]
+        else:
+            sched["total_bits"] = value
+        edited = tmp / "edited.json"
+        edited.write_text(json.dumps(sched))
+        capsys.readouterr()
+        assert main(["check", path, str(edited)]) == rc
+        malformed = "total_bits must be a finite number"
+        assert (malformed in capsys.readouterr().err) == (rc == 2)
+
     def test_mismatched_epochs_exit_3(self, worked_file, tmp_path):
         path, tmp = worked_file
         main(["solve", path, "--out", str(tmp)])

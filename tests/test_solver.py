@@ -2,6 +2,10 @@
 structural properties."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -959,15 +963,28 @@ class TestFoundFaults:
         self._assert_optimal(sol, 6.751205354701607)
 
     @staticmethod
-    def _inner_draw(seed, index):
-        """Draw index of default_rng(seed): K+1 = 1..8, a > 1, uniform
-        weights."""
+    def _inner_draw(seed, index, k_max=8, exact_weights=False):
+        """Draw index of default_rng(seed): K+1 = 1..k_max, a > 1, uniform
+        weights; with exact_weights, each weight is then set to 0 with
+        probability 0.3 and after that to 1 with probability 0.2."""
         rng = np.random.default_rng(seed)
         for _ in range(index + 1):
-            k = int(rng.integers(0, 8))
+            k = int(rng.integers(0, k_max))
             ch, prof = random_instance(rng, k, a_low_frac=0.0)
             lam = rng.uniform(0.0, 1.0, size=k + 1)
+            if exact_weights:
+                lam[rng.random(k + 1) < 0.3] = 0.0
+                lam[rng.random(k + 1) < 0.2] = 1.0
         return ch, prof, lam
+
+    @staticmethod
+    def _minmax_draw(seed, index, k_max, a_low_frac=0.15):
+        """Draw index of default_rng(seed): K+1 = 1..k_max."""
+        rng = np.random.default_rng(seed)
+        for _ in range(index + 1):
+            ch, prof = random_instance(rng, int(rng.integers(0, k_max)),
+                                       a_low_frac=a_low_frac)
+        return ch, prof
 
     @staticmethod
     def _criterion7_lam_b(pair):
@@ -980,22 +997,60 @@ class TestFoundFaults:
                 make_profile([0.0, 1.5, 3.0], [3.0, 2.0, 4.0],
                              [1.0, 2.0, 1.0], 5.0), lam)
 
-    # each draw reaches the face-Newton polish and is left uncertified when
-    # one of its pieces is taken out: the release step (5055/4, 3033/381),
-    # the steepest-ascent fallback or GRAD_FLOOR (5055/4, criterion 7), or
-    # a cap of 3 rounds (5055/4) or 10 Newton steps (5055/4, 3033/795)
-    @pytest.mark.parametrize("seed, index, optimum", [
-        (5055, 4, 21.49572789955648),
-        (3033, 381, 15.993793695491632),
-        (3033, 795, 9.949306976232489),
-        (13, 30, 7.242445204266673),
-    ], ids=["rng5055-4", "rng3033-381", "rng3033-795", "criterion7-30b"])
-    def test_polish_certifies(self, seed, index, optimum):
-        ch, prof, lam = (self._criterion7_lam_b(index) if seed == 13
-                         else self._inner_draw(seed, index))
+    # "inner" draws are _inner_draw(*args), "minmax" ones _minmax_draw(*args)
+    # and "criterion7" the second weight vector of criterion 7's pair args.
+    # The first four certify straight from SLSQP under one BLAS thread; the
+    # next six reach the Newton step under one and under two threads
+    # (4242/884, whose weight 0 makes the face Hessian singular, under two
+    # only), and each stays uncertified without it; the last two were
+    # returned uncertified by a face-Newton polish, at KKT 7.5 and inf.
+    @pytest.mark.parametrize("draw, args, optimum", [
+        ("inner", (5055, 4), 21.49572789955648),
+        ("inner", (3033, 381), 15.993793695491632),
+        ("inner", (3033, 795), 9.949306976232489),
+        ("criterion7", (30,), 7.242445204266673),
+        ("minmax", (99, 214, 12), 16.173353724043018),
+        ("minmax", (2026, 159, 10, 0.0), 6.46912266424005),
+        ("minmax", (4044, 722, 14, 0.0), 13.298414072570994),
+        ("inner", (5055, 763), 13.534566799073447),
+        ("inner", (6066, 432, 10), 16.869141581560243),
+        ("inner", (4242, 884, 10, True), 3.3260795755500125),
+        ("inner", (9099, 916, 10), 23.067528394395495),
+        ("inner", (4242, 310, 10, True), 15.111258936644333),
+    ], ids=["rng5055-4", "rng3033-381", "rng3033-795", "criterion7-30b",
+            "minmax99-214", "minmax2026-159", "minmax4044-722", "rng5055-763",
+            "rng6066-432", "rng4242-884", "rng9099-916", "rng4242-310"])
+    def test_newton_step_certifies(self, draw, args, optimum):
+        tol = SolverConfig().tol_inner
+        if draw == "minmax":
+            sol = solve_minmax(*self._minmax_draw(*args))
+            assert sol.converged and sol.kkt.certified(tol)
+            assert sol.total_bits == pytest.approx(optimum, rel=1e-9)
+            return
+        ch, prof, lam = (self._criterion7_lam_b(*args) if draw == "criterion7"
+                         else self._inner_draw(*args))
         _, _, rep = solve_inner(ch, prof, lam)
-        assert rep["kkt"].certified(SolverConfig().tol_inner)
+        assert rep["kkt"].certified(tol)
         assert rep["objective"] == pytest.approx(optimum, rel=1e-9)
+
+    def test_certified_under_two_blas_threads(self):
+        # the first draw certified under one thread only, the second under
+        # two only; the powers still depend on the thread count, so only the
+        # certificate is compared
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(
+                       [os.path.join(os.path.dirname(tests), "src"), tests]))
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent("""
+            from ehrelay import SolverConfig, solve_inner
+            from test_solver import TestFoundFaults as T
+            for draw in (T._inner_draw(3033, 704), T._inner_draw(9099, 916, 10)):
+                kkt = solve_inner(*draw)[2]["kkt"]
+                assert kkt.certified(SolverConfig().tol_inner), kkt
+            print("ok")
+            """)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
 
 def _rng7_draws():
