@@ -263,6 +263,9 @@ def cmd_check(args):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ProfileFormatError("cannot read schedule file: %s" % exc) from exc
+    if not isinstance(data, dict):
+        raise ProfileFormatError("schedule file's top level must be a JSON "
+                                 "object")
     rows = data.get("schedule")
     if not isinstance(rows, list) or not rows:
         raise ProfileFormatError("schedule file lacks a 'schedule' array")

@@ -12,9 +12,12 @@ consumed energy stays below the harvested prefix, powers are nonnegative)
 and the cone p2 <= (a^2-1)*p1.  :func:`solve_minmax` first repairs the
 per-node staircase start exactly onto the feasible set and returns it when
 the certificate below accepts it at tol_inner; proportional harvests and
-many others need nothing more.  Otherwise it solves the program with SLSQP
-from that start and repairs the result the same way.  If a <= 1 the rate is
-R_bc(p1) alone and the source staircase is exact.
+many others need nothing more.  Otherwise it solves the program through its
+dual (:func:`_dual_program`): each epoch's best powers at the prices of its
+prefix multipliers have a closed form, and the multipliers are found by
+projected Newton; the powers at the dual optimum are repaired the same
+way.  If a <= 1 the rate is R_bc(p1) alone and the source staircase is
+exact.
 
 The weights of the min-max form are lambda_i = 1 on every epoch (a > 1) or
 0 (a <= 1): inside the cone R_ma < R_bc, and on its boundary dR_ma/dp1 =
@@ -41,12 +44,17 @@ weights lambda_i in [0, 1]; it serves the envelope-convexity checks.  R_bc
 does not depend on p2 and R_ma does not rise in p2 beyond the cone, so for
 every lambda an optimum lies in the cone and the weighted problem is the
 same concave program with a weighted objective.  Both solvers run it
-through one core: start, certificate, SLSQP, and at most three Newton steps
-on the face active at SLSQP's point (:func:`_newton_step`).
+through one core: start, certificate, the dual core when every weight is 1
+and SLSQP (:func:`_concave_program`) when some weight is below 1, then up
+to 30 Newton steps on the face active at that point (:func:`_newton_step`).
 
-scipy.optimize is imported by the first SLSQP solve, not with this module:
-schedule checks, certificates, closed forms, starts that certify, the grid
-oracle and the command-line parser run without it.
+scipy.optimize is imported by the first SLSQP solve, not with this module,
+so only :func:`solve_inner` with a weight below 1 loads it: schedule checks,
+certificates, closed forms, every :func:`solve_minmax`, the grid oracle and
+the command-line parser run without it.  The dual core uses elementwise
+numpy, cumulative sums and one least-squares solve on the free multipliers
+per iteration, so on small profiles (and every profile tested) the
+:func:`solve_minmax` bytes do not depend on the BLAS thread count.
 """
 
 import math
@@ -159,11 +167,12 @@ class KktReport:
 
 @dataclass(frozen=True)
 class IterationCounters:
-    """What :func:`solve_minmax` ran.  inner_solves is 1 when SLSQP ran and 0
+    """What :func:`solve_minmax` ran.  inner_solves is 1 when a core ran and 0
     when the staircase start certified (always for a <= 1); inner_gradients
-    counts the gradient evaluations of SLSQP plus 5 per Newton step.
-    outer is always 0: b = 1 solves need no outer weight loop.  Closed forms
-    report all zeros."""
+    counts the dual core's Newton iterations when every weight is 1 (always
+    for :func:`solve_minmax`), SLSQP's gradient evaluations otherwise, plus
+    5 per Newton step on the active face.  outer is always 0: b = 1 solves
+    need no outer weight loop.  Closed forms report all zeros."""
 
     outer: int = 0
     inner_solves: int = 0
@@ -198,8 +207,9 @@ class SolverConfig:
 
     tol_inner bounds the KKT residual of a certified schedule and tol_outer
     its min-max gap (certified when the gap is <= 10*tol_outer).
-    max_iter_inner caps the SLSQP iterations of :func:`solve_minmax` and
-    :func:`solve_inner`.  max_iter_outer has no
+    max_iter_inner caps the iterations of both cores: the dual core's
+    Newton iterations (all weights 1, so every :func:`solve_minmax`) and
+    SLSQP's (some weight below 1).  max_iter_outer has no
     effect on b = 1 solves, which need no outer weight loop; it is accepted
     so that existing configurations keep working.
     """
@@ -399,7 +409,16 @@ def kkt_residual(ch, profile, alloc, duals, lam):
     """Recompute the three certificate residuals from primal and dual values.
 
     stationarity: inf-norm of the Lagrangian gradient
-        l_i*dr/dp - (sum_{k>=i} xi_k)*l_i + vartheta_i  (per node);
+        l_i*dr/dp - (sum_{k>=i} xi_k)*l_i + vartheta_i  (per node),
+        plus, at a kept source epoch with p1_i <= 0, lam_i > 0 and a > 1,
+        the gain l_i*max(0, S_i(t) - U_i - V_i*t) of its best direction
+        (1, t): the gradient reads 0 there, which vartheta_i would absorb.
+        U, V are the suffix sums of xi, mu, S_i(t) = [lam_i*g(t) +
+        (1-lam_i)*a^2]/(2 ln2 N) is the rate's slope at 0 along (1, t),
+        g(t) = (sqrt(a^2-t) + sqrt((a^2-1)*t))^2/a^2, and t = a^2*sin^2(th)
+        with th = atan2(2*sqrt(a^2-1), c*a^2 - a^2 + 2)/2, c =
+        2 ln2 N*V_i/lam_i, clipped to [0, a^2-1]; t = 0 where the relay's
+        cap is 0;
     slackness: largest |multiplier * constraint slack|;
     feasibility: largest primal violation or dual negativity.
 
@@ -409,18 +428,23 @@ def kkt_residual(ch, profile, alloc, duals, lam):
     lam = np.asarray(lam, dtype=float)
     spends = _spends(alloc, l)
     grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
-    return _kkt_report(l, _nodes(alloc, caps, spends), duals, grads)
+    return _kkt_report(ch, l, lam, _nodes(alloc, caps, spends), duals, grads)
 
 
-def _kkt_report(l, nodes, duals, grads):
+def _kkt_report(ch, l, lam, nodes, duals, grads):
     """:func:`kkt_residual` from the :func:`_nodes` terms and the objective
-    gradients grads of the allocation."""
+    gradients grads of the allocation under the weights lam."""
     (p1, _, slack1, keep1), (p2, _, slack2, keep2) = nodes
     g1, g2 = grads
 
     # epoch i pays l_i times the sum of the prefix multipliers k >= i
-    st1 = g1 - l * duals.xi[::-1].cumsum()[::-1] + duals.vartheta
-    st2 = g2 - l * duals.mu[::-1].cumsum()[::-1] + duals.eta
+    U = duals.xi[::-1].cumsum()[::-1]
+    V = duals.mu[::-1].cumsum()[::-1]
+    st1 = g1 - l * U + duals.vartheta
+    st2 = g2 - l * V + duals.eta
+    if ch.a > 1.0 and not (p1 > 0.0).all():
+        idle = keep1 & ~(p1 > 0.0) & (lam > 0.0)
+        st1 = st1 + np.where(idle, _idle_gain(ch, l, lam, U, V, keep2), 0.0)
     stat_terms = np.concatenate([st1[keep1], st2[keep2]])
     stationarity = float(np.abs(stat_terms).max()) if stat_terms.size else 0.0
 
@@ -439,6 +463,20 @@ def _kkt_report(l, nodes, duals, grads):
     feasibility = max(0.0, feas, dual_neg)
     return KktReport(stationarity=stationarity, slackness=slackness,
                      feasibility=feasibility)
+
+
+def _idle_gain(ch, l, lam, U, V, relay):
+    """Per epoch, the gain l*max(0, S(t) - U - V*t) of starting to send
+    along the best direction (1, t) (:func:`kkt_residual`); relay marks the
+    epochs whose relay cap is positive."""
+    a2 = ch.a ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = 2.0 * LN2 * ch.noise * V / lam
+        th = 0.5 * np.arctan2(2.0 * math.sqrt(a2 - 1.0), c * a2 - a2 + 2.0)
+        t = np.where(relay, np.clip(a2 * np.sin(th) ** 2, 0.0, a2 - 1.0), 0.0)
+        g = (np.sqrt(a2 - t) + np.sqrt((a2 - 1.0) * t)) ** 2 / a2
+        slope = (lam * g + (1.0 - lam) * a2) / (2.0 * LN2 * ch.noise)
+        return l * np.maximum(slope - U - V * t, 0.0)
 
 
 def recover_duals(ch, profile, alloc, lam):
@@ -528,7 +566,7 @@ def _certificate(ch, l, alloc, lam, caps, spends):
     grads = _true_gradients(ch, l, lam, alloc.p1, alloc.p2)
     nodes = _nodes(alloc, caps, spends)
     duals = _fit_duals(l, nodes, grads)
-    return duals, _kkt_report(l, nodes, duals, grads)
+    return duals, _kkt_report(ch, l, lam, nodes, duals, grads)
 
 
 def _newton_step(ch, l, lam, caps, alloc):
@@ -587,7 +625,8 @@ def _newton_step(ch, l, lam, caps, alloc):
 def _concave_program(ch, l, lam, c1, c2, x0, max_iter):
     """Maximize sum_i l_i*[lam_i*R_ma + (1-lam_i)*R_bc] over both causality
     polytopes and the cone p2 <= (a^2-1)*p1 with SLSQP, from the stacked
-    start x0 = [p1; p2].
+    start x0 = [p1; p2]; :func:`_solve` calls it when some weight is below
+    1 (:func:`_dual_program` takes lam = 1).
 
     Powers whose prefix cap is zero (and relay powers whose source power is
     forced to zero by the cone) are held at 0.  Returns the stacked result
@@ -598,8 +637,6 @@ def _concave_program(ch, l, lam, c1, c2, x0, max_iter):
     k = a2 - 1.0
     scale = a2 * ch.noise
     w_ma = l * lam
-    # the broadcast term vanishes under the min-max weights lam = 1
-    mixed = bool(np.any(lam < 1.0))
     w_bc = l * (1.0 - lam)
 
     def parts(x):
@@ -623,18 +660,16 @@ def _concave_program(ch, l, lam, c1, c2, x0, max_iter):
 
     def f(z):
         p1, _, _, snr = parts(full(z))
-        val = w_ma @ np.log2(1.0 + snr)
-        if mixed:
-            val += w_bc @ np.log2(1.0 + a2 * p1 / ch.noise)
+        val = w_ma @ np.log2(1.0 + snr) + w_bc @ np.log2(1.0 + a2 * p1
+                                                         / ch.noise)
         return -0.5 * float(val)
 
     def grad(z):
         p1, u, v, snr = parts(full(z))
         dc = w_ma / (2.0 * LN2 * (1.0 + snr))
-        d1 = dc * ((u + v) / (u * ch.noise))
+        d1 = dc * ((u + v) / (u * ch.noise)) + w_bc * a2 / (
+            2.0 * LN2 * (ch.noise + a2 * p1))
         d2 = (u + v) * (k / v - 1.0 / u) / scale
-        if mixed:
-            d1 += w_bc * a2 / (2.0 * LN2 * (ch.noise + a2 * p1))
         return -np.concatenate([d1, dc * d2])[free]
 
     # both prefix systems and the cone as one inequality A x <= caps
@@ -652,6 +687,125 @@ def _concave_program(ch, l, lam, c1, c2, x0, max_iter):
     return full(res.x).copy(), int(res.njev)
 
 
+def _dual_program(ch, l, c1, c2, xi, mu, max_iter):
+    """Maximize sum_i l_i*R_ma over both causality polytopes and the cone
+    (the weights lam = 1) through its dual, from the prefix multipliers xi,
+    mu; returns the stacked maximizers [p1; p2] at the last dual point and
+    the number of Newton iterations.
+
+    With U, V the suffix sums of xi, mu, epoch i's best powers at the prices
+    U, V are (s, t*s): x = sqrt(a^2-1)*U/(U + a^2*V), t = a^2*x^2/(1+x^2),
+    G = (1 + sqrt(a^2-1)*x)^2/(1+x^2) (the SNR gain g(t) at that split),
+    w = U + V*t and s = max(0, 1/(2 ln2 w) - N/G), worth
+    phi = C(s*G/N) - s*w.  The dual D = xi.c1 + mu.c2 + sum_i l_i*phi_i is
+    convex, finite while U > 0 on the epochs where the source harvested,
+    its gradient is each cap minus its prefix spend, and its Hessian is
+    T' blockdiag(-l_i*J_i) T, with T the suffix-sum map and J_i the
+    Jacobian of (s, t*s) in (U, V).  D is minimized over xi, mu >= 0 by
+    projected Newton (Bertsekas, SIAM J. Control Optim. 1982): multipliers
+    within min(1e-3, |projected gradient|) of 0 whose gradient is positive
+    take a gradient step, the others a Newton step, with an Armijo backtrack
+    along the projection arc; a flat direction (zero Hessian diagonal: every
+    epoch up to that prefix idle) takes a gradient step too.  A step whose
+    change of D is rounding (1e-13 relative) is taken when it halves the
+    projected gradient.  A multiplier whose prefix cap is 0 is held at 0:
+    the source is idle on the epochs with source cap 0, and the split t is
+    0 on those with relay cap 0.  The iteration stops once the projected
+    gradient is below 1e-12 times the largest cap, after max_iter
+    iterations, or when no step lowers D.
+    """
+    n = len(l)
+    if not c1[-1] > 0.0:
+        return np.zeros(2 * n), 0
+    a2 = ch.a ** 2
+    r = math.sqrt(a2 - 1.0)
+    live = c1 > 0.0
+    fixed = np.concatenate([~live, ~(c2 > 0.0)])
+    rl = r * (c2 > 0.0)  # x = 0, so t = 0, where the relay cannot send
+    caps = np.concatenate([c1, c2])
+    node = np.repeat([0, 1], n)
+    prefix = np.tile(np.arange(n), 2)
+    k = 0.5 / LN2
+    tol = 1e-12 * max(1.0, c1[-1], c2[-1])
+
+    def value(y):
+        """(D, gradient, s, t*s, what :func:`hessian` reads) at y = [xi; mu];
+        D is inf unless the last source price is positive."""
+        if not y[n - 1] > 0.0:
+            return (math.inf,)
+        # U >= U[-1] > 0 and V >= 0: every quotient below is finite
+        U, V = y.reshape(2, n)[:, ::-1].cumsum(axis=1)[:, ::-1]
+        den = U + a2 * V
+        x = rl * U / den
+        tx = 1.0 + x * x
+        t = a2 * x * x / tx
+        rx = 1.0 + r * x
+        G = rx * rx / tx
+        w = U + V * t
+        kw, ng = k / w, ch.noise / G
+        on = (kw > ng) & live
+        s = (kw - ng) * on
+        q = t * s
+        D = float((y * caps).sum() + (l * (k * np.log1p(s / ng) - s * w)).sum())
+        grad = caps - np.concatenate([(l * s).cumsum(), (l * q).cumsum()])
+        return D, grad, s, q, (U, V, den, x, tx, t, rx, G, w, kw, ng, on)
+
+    def hessian(s, U, V, den, x, tx, t, rx, G, w, kw, ng, on):
+        """The terms (source-source, mixed, relay-relay) of the dual's
+        Hessian entry (j, m), summed over the epochs up to min(j, m)."""
+        den2, tx2 = den * den, tx * tx
+        xu, xv = (a2 * rl) * V / den2, (-a2 * rl) * U / den2
+        t_x = (2.0 * a2) * x / tx2
+        gk = (ng / G) * (2.0 * rx * (r - x) / tx2)  # N/G^2 * dG/dx
+        k1 = kw / w
+        vt = V * t_x
+        s_u = gk * xu - k1 * (1.0 + vt * xu)
+        s_v = gk * xv - k1 * (t + vt * xv)
+        q_v = t_x * xv * s + t * s_v
+        # J is symmetric: d(t*s)/dU = ds/dV
+        return (np.array([s_u, s_v, q_v]) * (-l * on)).cumsum(axis=1)
+
+    def pg_norm(y, grad):
+        return float(np.abs(y - np.maximum(y - grad, 0.0)).max())
+
+    y = np.where(fixed, 0.0, np.concatenate([xi, mu]))
+    cur = value(y)
+    if not math.isfinite(cur[0]):
+        # one source price spending the whole harvest with the relay free
+        y = np.zeros(2 * n)
+        y[n - 1] = k / (c1[-1] / l[live].sum() + ch.noise / a2)
+        cur = value(y)
+    it = 0
+    while it < max_iter:
+        D, grad = cur[0], cur[1]
+        # a held multiplier has gradient 0 (no spend, no cap): it never moves
+        norm = pg_norm(y, grad)
+        if norm <= tol:
+            break
+        it += 1
+        H = hessian(cur[2], *cur[4])
+        free = np.flatnonzero(~(fixed | ((y <= min(1e-3, norm)) & (grad > 0.0))))
+        nd, j = node[free], prefix[free]
+        Hf = H[nd[:, None] + nd, np.minimum.outer(j, j)]
+        diag = Hf.ravel()[::len(free) + 1]
+        diag += diag == 0.0
+        d = -grad
+        d[free] = np.linalg.lstsq(Hf, d[free], rcond=None)[0]
+        alpha = 1.0
+        while alpha > 1e-12:
+            y1 = np.maximum(y + alpha * d, 0.0)
+            new = value(y1)
+            if new[0] <= D + 1e-4 * float((grad * (y1 - y)).sum()) or (
+                    alpha == 1.0 and abs(new[0] - D) <= 1e-13 * abs(D)
+                    and pg_norm(y1, new[1]) <= 0.5 * norm):
+                break
+            alpha *= 0.5
+        else:
+            break
+        y, cur = y1, new
+    return np.concatenate([cur[2], cur[3]]), it
+
+
 def _solve(ch, profile, lam, cfg, warm=None):
     """The b = 1 program under the float weights lam, certified:
     (audit, counters, warnings), shared by :func:`solve_minmax` and
@@ -661,10 +815,14 @@ def _solve(ch, profile, lam, cfg, warm=None):
     exactly: powers clipped at 0, each node projected onto its causality
     polytope, p2 lowered onto the cone.  It is returned as it is when the
     independent certificate accepts it at tol_inner.  Otherwise the concave
-    program is solved by SLSQP from the staircase start and the result
-    repaired the same way; while that point does not certify, up to three
-    Newton steps on its active face (:func:`_newton_step`) follow, each
-    repaired and certified in turn.
+    program is solved, by :func:`_dual_program` from the multipliers fitted
+    at that start when every weight is 1, else by SLSQP from the staircase
+    start, and the result repaired the same way; while that point does not
+    certify, up to 30 Newton steps on its active face (:func:`_newton_step`)
+    follow, each repaired and certified in turn.  Before each step, a relay
+    power at 0 beside a positive source power, a positive weight and a
+    positive relay cap is lifted to 1e-6*max(1, max p2) and the point
+    repaired and certified: the face would otherwise hold it at 0.
     SLSQP never starts from warm: from arbitrary starts it can stop early
     ("Inequality constraints incompatible") far from the optimum.
     For a <= 1 (lam = 0) the rate is R_bc(p1) alone: the source staircase
@@ -696,14 +854,26 @@ def _solve(ch, profile, lam, cfg, warm=None):
     audit = _audit(ch, profile, start, lam)
     counters = IterationCounters()
     if ch.a > 1.0 and not audit.kkt.certified(cfg.tol_inner):
-        x, grads = _concave_program(ch, l, lam, c1, c2, x0, cfg.max_iter_inner)
+        if np.all(lam == 1.0):
+            x, grads = _dual_program(ch, l, c1, c2, audit.duals.xi,
+                                     audit.duals.mu, cfg.max_iter_inner)
+        else:
+            x, grads = _concave_program(ch, l, lam, c1, c2, x0,
+                                        cfg.max_iter_inner)
         audit = _audit(ch, profile, repaired(x), lam)
-        # SLSQP stops once the objective stalls in its last bit, which can
-        # leave the powers about 1e-8 off; Newton steps on the active face of
-        # the weighted program finish them
-        for _ in range(3):
+        # either core can stop with the powers about 1e-8 off; Newton steps
+        # on the active face of the weighted program finish them
+        for _ in range(30):
             if audit.kkt.certified(cfg.tol_inner):
                 break
+            # R_ma's slope in p2 is unbounded at 0, so a zero relay power
+            # beside a positive source power is never optimal: lift it off
+            # the face it would otherwise keep
+            p1, p2 = audit.alloc.p1, audit.alloc.p2
+            lift = (p2 <= 0.0) & (lam > 0.0) & (p1 > 0.0) & (c2 > 0.0)
+            if lift.any():
+                audit = _audit(ch, profile, repaired(np.concatenate([
+                    p1, np.where(lift, 1e-6 * max(1.0, p2.max()), p2)])), lam)
             x = _newton_step(ch, l, lam, (c1, c2), audit.alloc)
             grads += 5
             audit = _audit(ch, profile, repaired(x), lam)
@@ -716,8 +886,9 @@ def solve_minmax(ch, profile, cfg=None):
 
     The concave program of the module docstring, solved with the min-max
     weights lambda = 1 (a > 1) or 0 (a <= 1) by the shared core: the
-    repaired staircase start when it certifies at tol_inner, else SLSQP
-    from it and, while that point does not certify, up to three Newton
+    repaired staircase start when it certifies at tol_inner, else the dual
+    core (:func:`_dual_program`, no SLSQP and no scipy) from the multipliers
+    fitted there and, while that point does not certify, up to 30 Newton
     steps on the face active there; each candidate is repaired exactly onto
     the feasible set and the cone.  converged is set by the independent
     certificate alone (KKT residual <= tol_inner and minmax_gap <=
@@ -734,7 +905,9 @@ def solve_inner(ch, profile, lam, cfg=None, warm=None):
 
     The objective is sum_i l_i*[lam_i*R_ma + (1-lam_i)*R_bc], whose optimum
     lies in the cone (module docstring): :func:`solve_minmax`'s program
-    under the weights lam, solved by the same core.  warm, one finite power
+    under the weights lam, solved by the same core: the dual core when every
+    weight is 1, SLSQP (which imports scipy) when some weight is below 1.
+    warm, one finite power
     per epoch and node, is repaired onto the feasible set and the cone and
     certified first; if it does not certify, the solve goes on as without
     it.  For a <= 1 (all weights 0) the source staircase is exact and warm
@@ -743,7 +916,8 @@ def solve_inner(ch, profile, lam, cfg=None, warm=None):
     Returns (Allocation, DualVariables, report) where report is a dict with
     the weighted objective, the independently recomputed KktReport, the
     convergence flag (KKT residual <= tol_inner), the gradient evaluations
-    (SLSQP's plus 5 per Newton step), and the warnings.  Non-convergence is
+    (the dual core's iterations or SLSQP's gradients, plus 5 per Newton
+    step), and the warnings.  Non-convergence is
     reported, not raised.
     """
     cfg = cfg or SolverConfig()

@@ -251,6 +251,15 @@ class TestCheck:
         malformed = "total_bits must be a finite number"
         assert (malformed in capsys.readouterr().err) == (rc == 2)
 
+    @pytest.mark.parametrize("top", [[1], "schedule", 3, None])
+    def test_non_object_file_exit_2(self, worked_file, capsys, top):
+        path, tmp = worked_file
+        edited = tmp / "edited.json"
+        edited.write_text(json.dumps(top))
+        rc = main(["check", path, str(edited)])
+        assert rc == 2
+        assert "top level must be a JSON object" in capsys.readouterr().err
+
     def test_mismatched_epochs_exit_3(self, worked_file, tmp_path):
         path, tmp = worked_file
         main(["solve", path, "--out", str(tmp)])

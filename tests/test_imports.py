@@ -1,8 +1,8 @@
-"""Where scipy is loaded: only the SLSQP solve of the schedule program
-imports it, where it calls it.  The package import, the grid oracle,
-schedule checks, --help, the CLI's parse and validation errors, a closed
-form and a solve whose start certifies run without it in a fresh
-interpreter."""
+"""Where scipy is loaded: only the SLSQP solve of the schedule program,
+which runs for weights below 1, imports it, where it calls it.  The package
+import, the grid oracle, schedule checks, --help, the CLI's parse and
+validation errors, a closed form, a solve whose start certifies and every
+solve_minmax, whose weights are 1, run without it in a fresh interpreter."""
 
 import os
 import subprocess
@@ -24,16 +24,18 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 CHILD = textwrap.dedent("""
     import contextlib, io, sys
+    import numpy as np
     import ehrelay, ehrelay.cli
     from ehrelay import (ChannelParams, GridConfig, HarvestEvent,
-                         HarvestProfile, grid_search, solve_minmax)
+                         HarvestProfile, grid_search, solve_inner,
+                         solve_minmax)
     from ehrelay.profile import load_problem
 
     def loaded():
         return sorted(m for m in sys.modules
                       if m == "scipy" or m.startswith("scipy."))
 
-    problem, schedule, bad, slsqp, out = sys.argv[1:]
+    problem, schedule, bad, general, out = sys.argv[1:]
     ch = ChannelParams(a=2.0, b=1.0, noise=1.0)
     prof = HarvestProfile(events=(HarvestEvent(0.0, 4.0, 2.0),
                                   HarvestEvent(3.0, 4.0, 2.0)), horizon=6.0)
@@ -54,9 +56,17 @@ CHILD = textwrap.dedent("""
     assert codes == [0, 0, 3, 0, 0, 2], codes
     sol = solve_minmax(ch, prof)
     assert sol.converged and sol.iterations.inner_solves == 0, sol
-    assert not loaded(), loaded()
-    sol = solve_minmax(*load_problem(slsqp))
+    # the staircase start of this instance does not certify: the dual core
+    # runs, from the command line and from the library
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ehrelay.cli.main(["solve", general, "--case", "general",
+                                 "--out", out])
+    assert code == 0, code
+    sol = solve_minmax(*load_problem(general))
     assert sol.converged and sol.iterations.inner_solves == 1, sol
+    assert not loaded(), loaded()
+    _, _, rep = solve_inner(*load_problem(general), np.full(3, 0.5))
+    assert rep["converged"] and rep["gradients"] >= 1, rep
     assert "scipy.optimize" in loaded()
     print("ok")
 """)
@@ -68,14 +78,14 @@ def test_scipy_loads_only_with_the_first_solve(tmp_path, capsys):
     # a horizon before the last event fails validation (exit 3)
     bad = write_problem(tmp_path / "bad.json", worked_proportional()[0],
                         make_profile([0.0, 2.0], [2.0, 1.0], [1.0, 1.0], 1.0))
-    # the staircase start of this instance does not certify: SLSQP runs
-    slsqp = write_problem(tmp_path / "slsqp.json", *random_instance(
+    # a K+1 = 3 instance whose staircase start does not certify
+    general = write_problem(tmp_path / "general.json", *random_instance(
         np.random.default_rng(5), 2, a_low_frac=0.0))
     capsys.readouterr()
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, problem,
-         str(tmp_path / "worked_schedule.json"), bad, slsqp, str(tmp_path)],
+         str(tmp_path / "worked_schedule.json"), bad, general, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
