@@ -715,8 +715,6 @@ def _dual_program(ch, l, c1, c2, xi, mu, max_iter):
     iterations, or when no step lowers D.
     """
     n = len(l)
-    if not c1[-1] > 0.0:
-        return np.zeros(2 * n), 0
     a2 = ch.a ** 2
     r = math.sqrt(a2 - 1.0)
     live = c1 > 0.0
@@ -771,7 +769,9 @@ def _dual_program(ch, l, c1, c2, xi, mu, max_iter):
     y = np.where(fixed, 0.0, np.concatenate([xi, mu]))
     cur = value(y)
     if not math.isfinite(cur[0]):
-        # one source price spending the whole harvest with the relay free
+        # the start left the last source prefix loose (a warm start that
+        # underspends): one source price spending the whole harvest at the
+        # relay's full split
         y = np.zeros(2 * n)
         y[n - 1] = k / (c1[-1] / l[live].sum() + ch.noise / a2)
         cur = value(y)

@@ -1235,6 +1235,19 @@ class TestWeightedProgram:
             assert rep["objective"] == pytest.approx(cold["objective"],
                                                      rel=1e-12), i
 
+    def test_underspent_warm_start_under_unit_weights(self):
+        # an underspending warm start leaves the last source prefix loose,
+        # so its fitted multipliers give the dual core no finite start
+        rng = np.random.default_rng(1)
+        for i, (ch, prof, _) in zip(range(20), _rng7_draws()):
+            n = prof.n_epochs
+            warm = Allocation(p1=rng.uniform(0.0, 0.5, n),
+                              p2=rng.uniform(0.0, 0.5, n))
+            _, _, rep = solve_inner(ch, prof, np.ones(n), warm=warm)
+            assert rep["converged"], i
+            assert rep["objective"] == pytest.approx(
+                solve_minmax(ch, prof).total_bits, rel=1e-12), i
+
     def test_clamped_extension_not_credited(self):
         # the ascent returned 15.914301041235678 here, with p1[0] = 3.2e-27
         # and p2[0] = 29.6: R_ma's clamped extension beyond the cone credits
