@@ -360,6 +360,20 @@ def _out_path(args, suffix):
     return os.path.join(outdir, stem + suffix)
 
 
+def _bounded(convert, low, strict=False):
+    """An argparse type: the flag's value as convert reads it, which must
+    exceed low (strict) or reach it.  NaN fails both, so a value out of
+    range is a parse error (exit 2) rather than a failure inside the run."""
+    def parse(text):
+        value = convert(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                "must be %s %s, got %r" % (">" if strict else ">=", low, text))
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in errors
+    return parse
+
+
 @functools.cache
 def _parser():
     """The argument parser, built once per process: parsing does not change
@@ -368,15 +382,16 @@ def _parser():
         prog="ehrelay",
         description="Offline-optimal schedules for an energy-harvesting relay link")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _bounded(float, 0, strict=True)
 
     def input_and_out(p):
         p.add_argument("input", help="problem JSON file")
         p.add_argument("--out", default=None, help="output directory")
 
     def solver_flags(p):
-        p.add_argument("--tol-inner", type=float, default=None)
-        p.add_argument("--tol-outer", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
+        p.add_argument("--tol-inner", type=positive, default=None)
+        p.add_argument("--tol-outer", type=positive, default=None)
+        p.add_argument("--max-iter", type=_bounded(int, 1), default=None)
 
     p = sub.add_parser("solve", help="compute an optimal schedule")
     input_and_out(p)
@@ -388,9 +403,12 @@ def _parser():
 
     p = sub.add_parser("oracle", help="brute-force grid search (K <= 2)")
     input_and_out(p)
-    p.add_argument("--grid", type=int, default=None, help="points per dimension")
-    p.add_argument("--rounds", type=int, default=None, help="refinement rounds")
-    p.add_argument("--budget", type=float, default=None, help="evaluation budget")
+    p.add_argument("--grid", type=_bounded(int, 2), default=None,
+                   help="points per dimension")
+    p.add_argument("--rounds", type=_bounded(int, 0), default=None,
+                   help="refinement rounds")
+    p.add_argument("--budget", type=positive, default=None,
+                   help="evaluation budget")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("check", help="verify a schedule file against its profile")

@@ -18,19 +18,20 @@ is the same float as in the full pair matrix.  The enumeration makes the
 columns down-closed in the last index (grids ascend and epoch lengths are
 positive, so within a prefix the feasible last indices are 0..k), so that
 largest entry is a running maximum of the last epoch's table row, read at
-k.  The pattern polish starts each sweep by scoring, in one rate call, the
-moves of every step level that a run of sweeps without improvement could
-reach.  Such a run keeps the point fixed, halving a step is exact, and the
-stop rule and the sweep cap fix the run's length before it starts, so each
-level holds the very moves of one sweep of the run.  The first improving
-move ends the batch; the polish accepts it and finishes that sweep as
-before: the moves left in a node's sweep are scored together and rebuilt
-from the new point after each accepted move.  The polish rates its moves
-with the unchecked capacity._active_rate: every move it scores is finite
-and nonnegative by construction.
+k.  The pattern polish scores its moves in one batch per accepted move:
+every move it would try next, in sweep order, taken from the current point
+(the rest of the sweep in progress, then the sweeps that would follow it
+without a gain).  Until a move improves, the point stays fixed and halving a
+step is exact, so the first improving move of the batch is the next one the
+one-at-a-time form accepts.  A move is rated only at the one or two epochs
+it changes; every other epoch keeps the current point's term, the same
+float, and the sum over epochs is the same row sum.  The rates come from the
+unchecked capacity._active_rate: each move's powers are clamped at zero, a
+no-op on the feasible moves, the only ones whose value counts.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,11 +67,12 @@ class GridConfig:
     budget: float = 1e8
 
     def __post_init__(self):
-        if self.points_per_dim < 2:
+        # written so that NaN, which fails every comparison, is rejected
+        if not self.points_per_dim >= 2:
             raise ValueError("points_per_dim must be >= 2")
-        if self.refinement_rounds < 0:
+        if not self.refinement_rounds >= 0:
             raise ValueError("refinement_rounds must be >= 0")
-        if self.budget <= 0:
+        if not self.budget > 0:
             raise ValueError("budget must be positive")
 
 
@@ -202,117 +204,37 @@ def _pair_sweep(tables, idx1, idx2, block=96):
     return best_val, best_pair, evals
 
 
-def _row_totals(ch, l, p1, p2):
-    """Throughput of each schedule row of p1 and p2 (broadcast together)."""
-    return np.sum(l * _active_rate(ch, p1, p2), axis=-1)
+# sweeps scored past the sweep in progress by the batch after an accepted
+# move; most gains lie within them, and a deeper batch builds moves that a
+# gain would make stale
+LOOKAHEAD = 3
 
 
 @functools.lru_cache(maxsize=None)
-def _sweep_layout(n):
-    """The index arrays of one node's sweep over n epochs that depend on n
-    alone, read-only because every call shares them: (slot_col, fixed, pi,
-    pj, sign).  Coordinate i owns n + 2 candidate slots; slot_col holds each
-    slot's coordinate and fixed[i] marks the slots that exist whatever the
-    point: both steps and the snaps to prefixes k >= i.  Exchange move e
-    shifts sign[e] times one step of pi[e] from pj[e] to pi[e]."""
-    pi, pj = np.triu_indices(n, 1)
-    layout = (np.repeat(np.arange(n), n + 2),
-              np.concatenate([np.ones((n, 2), bool),
-                              np.triu(np.ones((n, n), bool))], axis=1),
-              np.repeat(pi, 2), np.repeat(pj, 2),
-              np.tile([1.0, -1.0], n * (n - 1) // 2))
-    for a in layout:
+def _sweep_template(n):
+    """One sweep's moves over n epochs, source then relay, in sweep order,
+    as read-only index arrays shared by every call: (fi, fj, sign, snap,
+    fk, node0, end).  Indices are flat into the stacked (source, relay)
+    powers.  Move m sets power fi[m], and an exchange move (fi != fj) power
+    fj[m] too.  Coordinate i of a node tries x_i + s_i and x_i - s_i (sign
+    +1 and -1), then the snaps that make the node's prefix fk >= i exactly
+    tight; exchange move (i, j) of its pairs shifts sign times one step of
+    i from j to i.  end[m] is one past the last move of m's coordinate, or
+    m + 1 for an exchange move."""
+    rows = []
+    for base in (0, n):
+        for i in range(base, base + n):
+            cut = len(rows) + base + n - i + 2
+            rows += [(i, i, 1.0, False, i, cut), (i, i, -1.0, False, i, cut)]
+            rows += [(i, i, 0.0, True, k, cut) for k in range(i, base + n)]
+        for i, j in itertools.combinations(range(base, base + n), 2):
+            rows += [(i, j, 1.0, False, i, len(rows) + 1),
+                     (i, j, -1.0, False, i, len(rows) + 2)]
+    fi, fj, sign, snap, fk, end = (np.array(c) for c in zip(*rows))
+    template = (fi, fj, sign, snap, fk, fi < n, end)
+    for a in template:
         a.flags.writeable = False
-    return layout
-
-
-def _sweep_moves(points, k, S, lengths, caps, tol, i0, rest):
-    """Schedule pairs reached by the moves left in node k's sweep, all taken
-    from points = (x1, x2), at every step level: row j of S holds the steps
-    of level j.
-
-    The sweep is the coordinate moves of coordinates 0..n-1 followed by the
-    exchange moves; position i >= n is exchange move i - n.  Coordinate i
-    tries x_i + s_i, x_i - s_i and then the values that make some prefix
-    k' >= i exactly tight.  The sweep resumes at position i0, where rest,
-    unless None, holds coordinate i0's remaining candidate values.
-
-    Returns (Z, ok, after): Z[j, p] holds the (source, relay) powers after
-    move p at level j, which replaces points[k] and keeps the other node's
-    point; ok marks the feasible moves, those that set no power negative and
-    keep every prefix of node k within caps + tol; and after(j, p) is the
-    (i0, rest) position that follows move p at level j.
-    """
-    x = points[k]
-    n = len(x)
-    levels = len(S)
-    slot_col, fixed, pi, pj, sign = _sweep_layout(n)
-    spend = x * lengths
-    tight = (caps - (np.cumsum(spend) - spend[:, None])) / lengths[:, None]
-    start = min(i0 if rest is None else i0 + 1, n)
-    cand = np.empty((levels, n - start, n + 2))
-    cand[:, :, 0] = x[start:] + S[:, start:]
-    cand[:, :, 1] = x[start:] - S[:, start:]
-    cand[:, :, 2:] = tight[start:]
-    keep = fixed[start:].copy()
-    keep[:, 2:] &= tight[start:] >= 0.0
-    keep = keep.ravel()
-    V = cand.reshape(levels, -1)[:, keep]
-    col = slot_col[start * (n + 2):][keep]
-    if rest is not None:
-        V = np.concatenate([np.broadcast_to(rest, (levels, len(rest))), V],
-                           axis=1)
-        col = np.concatenate([np.full(len(rest), i0), col])
-    e0 = max(i0 - n, 0)
-    pi, pj, sign = pi[e0:], pj[e0:], sign[e0:]
-    d = sign * S[:, pi] * lengths[pi]  # joules moved from pj to pi
-    vi = x[pi] + d / lengths[pi]
-    vj = x[pj] - d / lengths[pj]
-    m = len(col)
-    Z = np.empty((levels, m + len(pi), 2, n))
-    Z[:] = points
-    Y = Z[:, :, k]
-    Y[:, np.arange(m), col] = V
-    Y[:, m + np.arange(len(pi)), pi] = vi
-    Y[:, m + np.arange(len(pi)), pj] = vj
-    ok = np.concatenate([~(V < 0.0), ~((vi < 0.0) | (vj < 0.0))], axis=1)
-    ok &= np.all(np.cumsum(Y * lengths, axis=2) <= caps + tol, axis=2)
-    end = np.searchsorted(col, col, side="right")
-
-    def after(j, p):
-        if p < m:
-            return int(col[p]), V[j, p + 1:end[p]]
-        return n + e0 + (p - m) + 1, None
-
-    return Z, ok, after
-
-
-def _first_gain(ch, l, blocks, best):
-    """Score every feasible move of blocks in one rate call.
-
-    blocks holds (node, Z, ok, after) tuples from _sweep_moves with the same
-    number of levels.  The moves are taken level by level, and within a
-    level block by block.  Returns (count, hit): count is the number of
-    feasible moves up to and including the first that beats best by more
-    than 1e-15, or all of them if none does, and hit is that move's (level,
-    block, move, value), or None.
-    """
-    Z = np.concatenate([b[1] for b in blocks], axis=1)
-    idx = np.flatnonzero(np.concatenate([b[2] for b in blocks], axis=1))
-    if idx.size == 0:
-        return 0, None
-    pairs = Z.reshape(-1, 2, len(l))[idx]
-    vals = _row_totals(ch, l, pairs[:, 0], pairs[:, 1])
-    hit = np.flatnonzero(vals > best + 1e-15)
-    if hit.size == 0:
-        return len(vals), None
-    r = int(hit[0])
-    j, p = divmod(int(idx[r]), Z.shape[1])
-    b = 0
-    while p >= blocks[b][1].shape[1]:
-        p -= blocks[b][1].shape[1]
-        b += 1
-    return r + 1, (j, b, p, float(vals[r]))
+    return template
 
 
 def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
@@ -320,79 +242,112 @@ def _pattern_polish(ch, profile, p1, p2, steps1, steps2, max_sweeps=200):
 
     Coordinate moves, tight-prefix snaps and pairwise exchange moves along
     the budget faces, with geometrically shrinking steps; uses objective
-    evaluations only.  Each node's sweep visits its moves in a fixed order
-    and accepts every feasible move that beats the incumbent by more than
-    1e-15; a coordinate's candidate values are fixed when the sweep reaches
-    it.  A sweep in which neither node improves halves every step, and the
-    descent stops once the largest step falls below 1e-11 of the powers'
-    scale, or after max_sweeps sweeps.
+    evaluations only.  Each sweep visits the source's moves and then the
+    relay's in a fixed order and accepts every feasible move that beats the
+    incumbent by more than 1e-15; a coordinate's candidate values are fixed
+    when the sweep reaches it.  A sweep in which neither node improves
+    halves every step, and the descent stops once the largest step falls
+    below 1e-11 of the powers' scale, or after max_sweeps sweeps.
 
-    The moves are scored in batches that give the same result as scoring
-    them one at a time.  A sweep starts with one batch over every step level
-    its run of flat sweeps (sweeps with no improvement) could reach: such a
-    run keeps x1 and x2 fixed, halving a step is exact, and the stop rule and
-    max_sweeps fix the run's length before it starts, so level j holds the
-    very moves the j-th flat sweep would try.  If no move improves, the whole
-    run is done at once.  Otherwise the levels before the first improving
-    move were flat sweeps; that move is accepted and the sweep goes on at
-    its level one batch at a time: every move left in the node's sweep is
-    taken from the current point, all feasible ones are scored together,
-    the first improving one is accepted and the moves after it are rebuilt
-    from the new point.  evaluations counts the feasible moves up to and
-    including each accepted one, and all of them in a batch with no
-    improving move.
+    The moves are scored in one batch per accepted move, with the same
+    result as scoring them one at a time.  A batch holds, in sweep order,
+    every move the descent would try next if none improved: the rest of the
+    sweep in progress, then the sweeps that would follow.  Until a move
+    improves the point stays fixed, halving a step is exact, and the stop
+    rule and max_sweeps fix how many sweeps follow, so all of them are taken
+    from the current point and the first move that beats the incumbent is
+    the next accepted one.  The moves left of a coordinate whose candidate
+    was accepted keep their values.  The first batch, and each batch after
+    one without a gain, starts a run of flat sweeps and spans all of it; the
+    batch after an accepted move spans the sweep in progress and LOOKAHEAD
+    more sweeps.  Each move is rated at the one or two epochs it changes;
+    the other epochs keep the current point's terms.  evaluations counts the
+    feasible moves up to and including each accepted one, and all of them
+    in a batch with no gain.
     """
     _, l, _, c1 = _node_arrays(profile, SOURCE)
     c2 = _node_arrays(profile, RELAY)[3]
-    x1 = np.array(p1, dtype=float)
-    x2 = np.array(p2, dtype=float)
-    best = float(_row_totals(ch, l, x1, x2))
-    steps = (np.array(steps1, dtype=float), np.array(steps2, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(np.concatenate([x1, x2])))))
+    n = len(l)
+    X = np.array([p1, p2], dtype=float)
+    x = X.ravel()  # a view: moves write the point through it
+    terms = l * _active_rate(ch, X[0], X[1])
+    best = float(np.sum(terms))
+    steps = np.concatenate([steps1, steps2]).astype(float)
+    scale = max(1.0, float(np.max(np.abs(x))))
     stop = 1e-11 * scale
     tol = 1e-12 * max(1.0, c1[-1], c2[-1])
-    points, caps = (x1, x2), (c1, c2)
+    fi, fj, sign, snap, fk, node0, end = _sweep_template(n)
+    ci, cj, xch = fi % n, fj % n, fi != fj
+    ll = np.concatenate([l, l])
+    li, lj = ll[fi], ll[fj]
+    caps = np.concatenate([c1, c2])
+    limit = np.where(node0[:, None], c1 + tol, c2 + tol)
+    own = (fi >= n)[:, None] * n + np.arange(n)  # the moved node's powers
+    pair = np.stack([fi, fj], axis=1)  # the powers a move sets
+    other = (pair + n) % (2 * n)  # the other node's powers at their epochs
+    lc = ll[pair]
+    ar = np.arange(len(fi))
     evals = 0
     done = 0
+    m0, rest, improved = 0, np.empty(0), False
     while done < max_sweeps:
-        # the levels a run of flat sweeps starting here could reach
-        levels = 1
-        top = float(np.max(np.concatenate(steps)))
-        while levels < max_sweeps - done:
-            top *= 0.5
-            if top < stop:
+        # the step halvings of the sweeps this batch spans
+        top = float(steps.max())
+        halvings = [0]
+        flat = not improved
+        while (len(halvings) < max_sweeps - done
+               and (not improved or len(halvings) <= LOOKAHEAD)):
+            h = halvings[-1] + flat  # a flat sweep halves the steps after it
+            if flat and top * 0.5 ** h < stop:
                 break
-            levels += 1
-        halve = np.full((levels - 1, len(l)), 0.5)
-        S = [np.cumprod(np.vstack([s, halve]), axis=0) for s in steps]
-        blocks = [(k,) + _sweep_moves(points, k, S[k], l, caps[k], tol, 0,
-                                      None)
-                  for k in (0, 1)]
-        count, hit = _first_gain(ch, l, blocks, best)
-        evals += count
-        if hit is None:
-            steps = (S[0][-1] * 0.5, S[1][-1] * 0.5)
-            done += levels
-            if float(np.max(np.concatenate(steps))) < stop:
-                break
-            continue
-        steps = (S[0][hit[0]], S[1][hit[0]])
-        done += hit[0] + 1
-        # finish the sweep at the hit's level, one batch at a time
-        while hit is not None:
-            j, b, p, best = hit
-            k, Z, _, after = blocks[b]
-            points[k][:] = Z[j, p, k]
-            pos = after(j, p)
-            for k in range(k, 2):
-                blocks = [(k,) + _sweep_moves(points, k, steps[k][None], l,
-                                              caps[k], tol, *pos)]
-                count, hit = _first_gain(ch, l, blocks, best)
-                evals += count
-                if hit is not None:
+            halvings.append(h)
+            flat = True
+        S = steps * 0.5 ** np.array(halvings, dtype=float)[:, None]
+        sd = sign * S[:, fi]
+        d = sd * li  # joules an exchange move shifts
+        spend = x * ll
+        cum = spend.reshape(2, n).cumsum(axis=1).ravel()
+        tight = (caps[fk] - (cum[fk] - spend[fi])) / li
+        vi = np.where(snap, tight, x[fi] + np.where(xch, d / li, sd))
+        vi[0, m0:m0 + len(rest)] = rest
+        vj = np.where(xch, x[fj] - d / lj, vi)
+        Y = np.empty(vi.shape + (n,))
+        Y[:] = x[own]
+        Y[:, ar, ci] = vi
+        Y[:, ar, cj] = vj
+        ok = ((Y * l).cumsum(axis=2) <= limit).all(axis=2)
+        ok &= np.minimum(vi, vj) >= 0.0
+        ok[0, :m0] = False
+        V = np.maximum(np.stack([vi, vj], axis=2), 0.0)
+        P = x[other]
+        rows = np.empty(Y.shape)
+        rows[:] = terms
+        rate = lc * _active_rate(ch, np.where(node0[:, None], V, P),
+                                 np.where(node0[:, None], P, V))
+        rows[:, ar, ci] = rate[..., 0]
+        rows[:, ar, cj] = rate[..., 1]
+        total = rows.sum(axis=2)
+        gain = ok & (total > best + 1e-15)
+        r = int(gain.argmax())
+        if not gain.flat[r]:
+            evals += int(np.count_nonzero(ok))
+            done += len(halvings)
+            if flat:
+                steps = S[-1] * 0.5
+                if float(steps.max()) < stop:
                     break
-                pos = (0, None)
-    return x1, x2, best, evals
+            m0, rest, improved = 0, rest[:0], False
+            continue
+        evals += int(np.count_nonzero(ok.ravel()[:r + 1]))
+        j, m = divmod(r, len(fi))
+        done += j
+        steps = S[j]
+        x[fi[m]] = vi[j, m]
+        x[fj[m]] = vj[j, m]
+        terms = rows[j, m]
+        best = float(total[j, m])
+        m0, rest, improved = m + 1, vi[j, m + 1:end[m]], True
+    return X[0].copy(), X[1].copy(), best, evals
 
 
 def _slack_bound(ch, profile, p1, p2, spacing1, spacing2):

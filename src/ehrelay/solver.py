@@ -220,9 +220,10 @@ class SolverConfig:
     max_iter_outer: int = 200
 
     def __post_init__(self):
-        if self.tol_inner <= 0 or self.tol_outer <= 0:
+        # written so that NaN, which fails every comparison, is rejected
+        if not (self.tol_inner > 0 and self.tol_outer > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iter_inner < 1 or self.max_iter_outer < 1:
+        if not (self.max_iter_inner >= 1 and self.max_iter_outer >= 1):
             raise ValueError("iteration caps must be >= 1")
 
 

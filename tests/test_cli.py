@@ -129,6 +129,27 @@ class TestSolve:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "{problem}", "--grid", "1"],
+        ["oracle", "{problem}", "--rounds", "-1"],
+        ["oracle", "{problem}", "--budget", "0"],
+        ["oracle", "{problem}", "--budget", "nan"],
+        ["solve", "{problem}", "--tol-inner", "-1"],
+        ["solve", "{problem}", "--tol-inner", "nan"],
+        ["solve", "{problem}", "--tol-outer", "-1"],
+        ["solve", "{problem}", "--max-iter", "0"],
+        ["plotdata", "{problem}", "--tol-outer", "nan"],
+    ])
+    def test_out_of_range_flag_values_are_parse_errors(self, worked_file,
+                                                       argv, capsys):
+        path, tmp = worked_file
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(problem=path) for a in argv] + ["--out", str(tmp)])
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+        assert not any(tmp.glob("worked_*"))
+
+
 class TestOneProcess:
     def test_commands_in_sequence_share_no_state(self, worked_file):
         path, tmp = worked_file

@@ -66,6 +66,15 @@ class TestGridSearch:
                                              refinement_rounds=0, budget=10))
         assert err.value.required > 10
 
+    @pytest.mark.parametrize("field, value", [
+        ("points_per_dim", 1), ("points_per_dim", float("nan")),
+        ("refinement_rounds", -1), ("refinement_rounds", float("nan")),
+        ("budget", 0.0), ("budget", float("nan")),
+    ])
+    def test_config_validation(self, field, value):
+        with pytest.raises(ValueError):
+            GridConfig(**{field: value})
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         ch, prof = random_instance(rng, 1)
@@ -260,6 +269,78 @@ def _random_feasible(rng, l, caps):
     return x
 
 
+class _PolishTrace:
+    """Follows _ref_pattern_polish through its two helpers, which it wraps
+    without changing a value, and records where each accepted move falls
+    among the package polish's batches: one starts the polish, one follows
+    each accepted move and spans its sweep and LOOKAHEAD more, and one
+    follows each such batch without a gain and spans the rest of the run."""
+
+    def __init__(self, l, steps1, steps2, seen):
+        self.l, self.seen = l, seen
+        self.steps = [np.array(steps1, float), np.array(steps2, float)]
+        self.x = None
+        self.sweep, self.gains = -1, []
+        self.at = self.middle = None
+        # the helpers themselves: the trace replaces them in the module
+        self.ref_tight, self.ref_total = _ref_tight_candidates, _ref_total
+
+    def tight(self, x, i, lengths, caps):
+        k = 0 if x is self.x[0] else 1
+        if k == 0 and i == 0:
+            if self.sweep >= 0 and (not self.gains
+                                    or self.gains[-1] < self.sweep):
+                self.steps = [s * 0.5 for s in self.steps]
+            self.sweep += 1
+        self.at = (k, i)
+        return self.ref_tight(x, i, lengths, caps)
+
+    def total(self, ch, l, p1, p2):
+        val = self.ref_total(ch, l, p1, p2)
+        if self.x is None:
+            self.x, self.best = (p1, p2), val
+            return val
+        if self.middle == self.at:
+            self.seen["gain_mid_coordinate"] = True
+        self.middle = None
+        if val > self.best + 1e-15:
+            self.best = val
+            self._gain(p1 if p2 is self.x[1] else p2)
+        return val
+
+    def _gain(self, y):
+        k, i = self.at
+        x, n, l = self.x[k], len(self.l), self.l
+        if np.all((y == x) | (np.arange(n) == i)) and (i < n - 1 or n == 1):
+            self.middle = self.at  # a coordinate move with i's list not done
+        if k == 1 and n > 1:
+            d = -1.0 * self.steps[1][n - 2] * l[n - 2]
+            last = x.copy()
+            last[n - 2] = x[n - 2] + d / l[n - 2]
+            last[n - 1] = x[n - 1] - d / l[n - 1]
+            self.seen["gain_relay_last_exchange"] |= \
+                bool(np.array_equal(y, last))
+        prev = self.gains[-1] if self.gains else None
+        if prev is not None and self.sweep - prev <= oracle.LOOKAHEAD:
+            self.seen["gain_deep_in_lookahead"] |= self.sweep - prev >= 2
+        else:
+            start = 0 if prev is None else prev + oracle.LOOKAHEAD + 1
+            self.seen["gain_deep_in_flat_run"] |= self.sweep - start >= 2
+        self.gains.append(self.sweep)
+
+    def finish(self, max_sweeps, scale):
+        """Records a polish that max_sweeps stopped inside a batch."""
+        if self.sweep + 1 < max_sweeps or max_sweeps > 6:
+            return
+        last = self.gains[-1] if self.gains else None
+        if last is not None and last + oracle.LOOKAHEAD >= max_sweeps - 1:
+            self.seen["max_sweeps_in_lookahead"] |= \
+                last + oracle.LOOKAHEAD > max_sweeps - 1
+        else:
+            top = 0.5 * max(s.max() for s in self.steps)
+            self.seen["max_sweeps_in_flat_run"] |= bool(top >= 1e-11 * scale)
+
+
 class TestExactAgreement:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["continuous", "repeated", "rounding"])
@@ -326,6 +407,42 @@ class TestExactAgreement:
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
             assert got[3] == want[3]
+
+    def test_polish_batches_match_one_move_at_a_time(self, monkeypatch):
+        # the draws reach every place where one batch of the package polish
+        # ends and the next starts, shown by the trace of the reference
+        rng = np.random.default_rng(2024)
+        seen = dict.fromkeys(
+            ["gain_mid_coordinate", "gain_relay_last_exchange",
+             "gain_deep_in_lookahead", "gain_deep_in_flat_run",
+             "max_sweeps_in_lookahead", "max_sweeps_in_flat_run",
+             "one_epoch", "a_at_most_1"], False)
+        module = globals()
+        for trial in range(60):
+            k = int(rng.integers(0, 4))
+            max_sweeps = int(rng.choice([1, 2, 3, 4, 5, 6, 200]))
+            ch, prof = random_instance(rng, k, a_low_frac=0.3)
+            l = epoch_lengths(prof)
+            p1 = _random_feasible(rng, l, cumulative_energies(prof, SOURCE))
+            p2 = _random_feasible(rng, l, cumulative_energies(prof, RELAY))
+            steps1 = np.exp(rng.uniform(np.log(1e-9), np.log(0.5), k + 1))
+            steps2 = np.exp(rng.uniform(np.log(1e-9), np.log(0.5), k + 1))
+            got = oracle._pattern_polish(ch, prof, p1, p2, steps1, steps2,
+                                         max_sweeps)
+            trace = _PolishTrace(l, steps1, steps2, seen)
+            with monkeypatch.context() as m:
+                m.setitem(module, "_ref_total", trace.total)
+                m.setitem(module, "_ref_tight_candidates", trace.tight)
+                want = _ref_pattern_polish(ch, prof, p1, p2, steps1, steps2,
+                                           max_sweeps)
+            trace.finish(max_sweeps,
+                         max(1.0, float(np.max(np.concatenate([p1, p2])))))
+            assert np.array_equal(got[0], want[0]), trial
+            assert np.array_equal(got[1], want[1]), trial
+            assert got[2:] == want[2:], trial
+            seen["one_epoch"] |= k == 0
+            seen["a_at_most_1"] |= ch.a <= 1.0
+        assert all(seen.values()), seen
 
     def test_grid_search_matches_reference_phases(self, monkeypatch):
         rng = np.random.default_rng(9)

@@ -945,6 +945,12 @@ class TestSolutionProperties:
         with pytest.raises(ValueError):
             SolverConfig(max_iter_outer=0)
 
+    @pytest.mark.parametrize("field", ["tol_inner", "tol_outer",
+                                       "max_iter_inner", "max_iter_outer"])
+    def test_config_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: float("nan")})
+
 
 class TestFoundFaults:
     """Hard instances: each solve must certify at the known optimum."""
