@@ -128,7 +128,6 @@ class TestSolve:
             main([a.format(**names) for a in argv])
         assert exc.value.code == 2
 
-
     @pytest.mark.parametrize("argv", [
         ["oracle", "{problem}", "--grid", "1"],
         ["oracle", "{problem}", "--rounds", "-1"],
