@@ -1,8 +1,9 @@
 """Test-session settings that must be in place before numpy loads.
 
-One BLAS thread: the first SLSQP solve in a process otherwise starts an
-OpenBLAS thread pool, which costs 0.5-1.5 s on a small shared machine.
-Values already set in the environment are kept.
+One BLAS thread, so that every run uses the same thread count whatever the
+machine; no result depends on it, and the BLAS-thread tests run their
+solves under one and two threads in subprocesses.  Values already set in
+the environment are kept.
 """
 
 import os

@@ -44,17 +44,15 @@ weights lambda_i in [0, 1]; it serves the envelope-convexity checks.  R_bc
 does not depend on p2 and R_ma does not rise in p2 beyond the cone, so for
 every lambda an optimum lies in the cone and the weighted problem is the
 same concave program with a weighted objective.  Both solvers run it
-through one core: start, certificate, the dual core when every weight is 1
-and SLSQP (:func:`_concave_program`) when some weight is below 1, then up
-to 30 Newton steps on the face active at that point (:func:`_newton_step`).
+through one core: start, certificate, then the dual core, whose per-epoch
+best powers are in closed form when every weight is 1 and the root of two
+scalar stationarity conditions otherwise.
 
-scipy.optimize is imported by the first SLSQP solve, not with this module,
-so only :func:`solve_inner` with a weight below 1 loads it: schedule checks,
-certificates, closed forms, every :func:`solve_minmax`, the grid oracle and
-the command-line parser run without it.  The dual core uses elementwise
-numpy, cumulative sums and one least-squares solve on the free multipliers
-per iteration, so on small profiles (and every profile tested) the
-:func:`solve_minmax` bytes do not depend on the BLAS thread count.
+The solver needs numpy only.  The dual core uses elementwise numpy,
+cumulative sums and one least-squares solve on the free multipliers per
+iteration, so on small profiles (and every profile tested) the power bytes
+of :func:`solve_minmax` and :func:`solve_inner` do not depend on the BLAS
+thread count.
 """
 
 import math
@@ -79,10 +77,6 @@ from .capacity import (
 from .profile import RELAY, SOURCE, ProfileError, _node_arrays, require_valid
 
 FEASIBILITY_RTOL = 1e-9
-# the relay power at which the program's gradient is taken when it is
-# smaller: R_ma's slope in p2 grows like 1/sqrt(p2), so at p2 -> 0 it swamps
-# every other entry of the gradient
-GRAD_FLOOR = 1e-12
 
 __all__ = [
     "Allocation",
@@ -167,12 +161,11 @@ class KktReport:
 
 @dataclass(frozen=True)
 class IterationCounters:
-    """What :func:`solve_minmax` ran.  inner_solves is 1 when a core ran and 0
-    when the staircase start certified (always for a <= 1); inner_gradients
-    counts the dual core's Newton iterations when every weight is 1 (always
-    for :func:`solve_minmax`), SLSQP's gradient evaluations otherwise, plus
-    5 per Newton step on the active face.  outer is always 0: b = 1 solves
-    need no outer weight loop.  Closed forms report all zeros."""
+    """What :func:`solve_minmax` ran.  inner_solves is 1 when the dual core
+    ran and 0 when the staircase start certified (always for a <= 1);
+    inner_gradients counts the dual core's Newton iterations.  outer is
+    always 0: b = 1 solves need no outer weight loop.  Closed forms report
+    all zeros."""
 
     outer: int = 0
     inner_solves: int = 0
@@ -207,11 +200,10 @@ class SolverConfig:
 
     tol_inner bounds the KKT residual of a certified schedule and tol_outer
     its min-max gap (certified when the gap is <= 10*tol_outer).
-    max_iter_inner caps the iterations of both cores: the dual core's
-    Newton iterations (all weights 1, so every :func:`solve_minmax`) and
-    SLSQP's (some weight below 1).  max_iter_outer has no
-    effect on b = 1 solves, which need no outer weight loop; it is accepted
-    so that existing configurations keep working.
+    max_iter_inner caps the dual core's Newton iterations, under any
+    weights.  max_iter_outer has no effect on b = 1 solves, which need no
+    outer weight loop; it is accepted so that existing configurations keep
+    working.
     """
 
     tol_inner: float = 1e-7
@@ -528,9 +520,9 @@ def _fit_duals(l, nodes, grads):
 
 def _active(p, c, slack, keep):
     """One node's active set from its :func:`_nodes` terms, as the dual fit
-    and the Newton step read it: (first kept epoch, the ends k+1 of the
-    prefixes from there on with |slack| <= 1e-7*max(1, c[-1]), whether each
-    epoch's power is positive: kept and above 1e-9*max(1, max p))."""
+    reads it: (first kept epoch, the ends k+1 of the prefixes from there on
+    with |slack| <= 1e-7*max(1, c[-1]), whether each epoch's power is
+    positive: kept and above 1e-9*max(1, max p))."""
     kept = keep.tolist()
     first = kept.index(True) if True in kept else len(kept)
     tol = 1e-7 * max(1.0, float(c[-1]))
@@ -542,7 +534,7 @@ def _active(p, c, slack, keep):
 
 
 # ---------------------------------------------------------------------------
-# Staircase start and the active-face Newton step
+# Staircase start and the dual core
 
 
 def _warm_start(profile):
@@ -570,199 +562,58 @@ def _certificate(ch, l, alloc, lam, caps, spends):
     return duals, _kkt_report(ch, l, lam, nodes, duals, grads)
 
 
-def _newton_step(ch, l, lam, caps, alloc):
-    """One Newton step of the weighted program from alloc on the face active
-    there (:func:`_active`): tight prefixes stay tight and powers at 0 stay
-    at 0.  The cone is not among its constraints: the caller lowers p2 onto
-    it.  Returns the stacked powers [p1; p2], to be repaired.
-
-    The objective is a sum over epochs, so its Hessian is block diagonal,
-    one 2x2 block per epoch; four gradients give every block by central
-    differences with steps of 1e-6 times each power, at least 1e-9.  The
-    gradient is projected onto the face's null space and the step solved by
-    least squares, since a weight of 0 makes a block singular.
-    """
-    n = len(l)
-    x = np.concatenate([alloc.p1, alloc.p2])
-
-    def grad(y):
-        return np.concatenate(_true_gradients(
-            ch, l, lam, np.maximum(y[:n], 0.0), np.maximum(y[n:], GRAD_FLOOR)))
-
-    h = np.maximum(1e-6 * x, 1e-9).reshape(2, n)
-    d = []  # d[j][m]: the derivative of node m's gradient in node j's power
-    for j in (0, 1):
-        e = np.zeros((2, n))
-        e[j] = h[j]
-        d.append((grad(x + e.ravel()) - grad(x - e.ravel())).reshape(2, n)
-                 / (2.0 * h[j]))
-    off = np.diag(0.5 * (d[0][1] + d[1][0]))
-    H = np.block([[np.diag(d[0][0]), off], [off, np.diag(d[1][1])]])
-
-    P = np.tril(np.ones((n, n))) * l
-    rows, free = [], []
-    for j, node in enumerate(_nodes(alloc, caps, _spends(alloc, l))):
-        _, ends, positive = _active(*node)
-        tight = np.zeros((len(ends), 2 * n))
-        tight[:, j * n:(j + 1) * n] = P[[e - 1 for e in ends]]
-        rows.append(tight)
-        free += positive
-    # the face basis: right singular vectors beyond the numerical rank
-    A = np.vstack(rows)[:, free]
-    _, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps
-                      * max(A.shape)))
-    Z = vh[rank:].T
-    dz = np.linalg.lstsq(-Z.T @ H[np.ix_(free, free)] @ Z,
-                         Z.T @ grad(x)[free], rcond=None)[0]
-    x[free] += Z @ dz
-    return x
-
-
-# ---------------------------------------------------------------------------
-# The b = 1 schedule program
-
-
-def _concave_program(ch, l, lam, c1, c2, x0, max_iter):
+def _dual_program(ch, l, lam, c1, c2, xi, mu, max_iter):
     """Maximize sum_i l_i*[lam_i*R_ma + (1-lam_i)*R_bc] over both causality
-    polytopes and the cone p2 <= (a^2-1)*p1 with SLSQP, from the stacked
-    start x0 = [p1; p2]; :func:`_solve` calls it when some weight is below
-    1 (:func:`_dual_program` takes lam = 1).
-
-    Powers whose prefix cap is zero (and relay powers whose source power is
-    forced to zero by the cone) are held at 0.  Returns the stacked result
-    and the number of gradient evaluations.
-    """
-    n = len(l)
-    a2 = ch.a ** 2
-    k = a2 - 1.0
-    scale = a2 * ch.noise
-    w_ma = l * lam
-    w_bc = l * (1.0 - lam)
-
-    def parts(x):
-        # R_ma for b = 1 with the factor p1 cancelled: C((u + v)^2 / (a^2 N));
-        # R_bc = C(a^2 p1 / N)
-        p1 = np.maximum(x[:n], 0.0)
-        p2 = np.maximum(x[n:], GRAD_FLOOR)
-        u = np.sqrt(np.maximum(a2 * p1 - p2, 1e-300))
-        v = np.sqrt(k * p2)
-        return p1, u, v, (u + v) ** 2 / scale
-
-    fixed = np.concatenate([c1 <= 0.0, (c1 <= 0.0) | (c2 <= 0.0)])
-    free = ~fixed
-    x = np.where(fixed, 0.0, x0)
-    if not np.any(free):
-        return x, 0
-
-    def full(z):
-        x[free] = z
-        return x
-
-    def f(z):
-        p1, _, _, snr = parts(full(z))
-        val = w_ma @ np.log2(1.0 + snr) + w_bc @ np.log2(1.0 + a2 * p1
-                                                         / ch.noise)
-        return -0.5 * float(val)
-
-    def grad(z):
-        p1, u, v, snr = parts(full(z))
-        dc = w_ma / (2.0 * LN2 * (1.0 + snr))
-        d1 = dc * ((u + v) / (u * ch.noise)) + w_bc * a2 / (
-            2.0 * LN2 * (ch.noise + a2 * p1))
-        d2 = (u + v) * (k / v - 1.0 / u) / scale
-        return -np.concatenate([d1, dc * d2])[free]
-
-    # both prefix systems and the cone as one inequality A x <= caps
-    P = np.tril(np.ones((n, n))) * l
-    Z = np.zeros((n, n))
-    A = np.block([[P, Z], [Z, P], [-k * np.eye(n), np.eye(n)]])[:, free]
-    caps = np.concatenate([c1, c2, np.zeros(n)])
-    import scipy.optimize
-    res = scipy.optimize.minimize(
-        f, x[free], jac=grad, method="SLSQP",
-        bounds=[(0.0, None)] * int(np.sum(free)),
-        constraints={"type": "ineq", "fun": lambda z: caps - A @ z,
-                     "jac": lambda z: -A},
-        options={"ftol": 1e-15, "maxiter": max_iter})
-    return full(res.x).copy(), int(res.njev)
-
-
-def _dual_program(ch, l, c1, c2, xi, mu, max_iter):
-    """Maximize sum_i l_i*R_ma over both causality polytopes and the cone
-    (the weights lam = 1) through its dual, from the prefix multipliers xi,
+    polytopes and the cone through its dual, from the prefix multipliers xi,
     mu; returns the stacked maximizers [p1; p2] at the last dual point and
     the number of Newton iterations.
 
     With U, V the suffix sums of xi, mu, epoch i's best powers at the prices
-    U, V are (s, t*s): x = sqrt(a^2-1)*U/(U + a^2*V), t = a^2*x^2/(1+x^2),
-    G = (1 + sqrt(a^2-1)*x)^2/(1+x^2) (the SNR gain g(t) at that split),
-    w = U + V*t and s = max(0, 1/(2 ln2 w) - N/G), worth
-    phi = C(s*G/N) - s*w.  The dual D = xi.c1 + mu.c2 + sum_i l_i*phi_i is
-    convex, finite while U > 0 on the epochs where the source harvested,
-    its gradient is each cap minus its prefix spend, and its Hessian is
-    T' blockdiag(-l_i*J_i) T, with T the suffix-sum map and J_i the
-    Jacobian of (s, t*s) in (U, V).  D is minimized over xi, mu >= 0 by
-    projected Newton (Bertsekas, SIAM J. Control Optim. 1982): multipliers
-    within min(1e-3, |projected gradient|) of 0 whose gradient is positive
-    take a gradient step, the others a Newton step, with an Armijo backtrack
-    along the projection arc; a flat direction (zero Hessian diagonal: every
-    epoch up to that prefix idle) takes a gradient step too.  A step whose
-    change of D is rounding (1e-13 relative) is taken when it halves the
-    projected gradient.  A multiplier whose prefix cap is 0 is held at 0:
-    the source is idle on the epochs with source cap 0, and the split t is
-    0 on those with relay cap 0.  The iteration stops once the projected
-    gradient is below 1e-12 times the largest cap, after max_iter
+    U, V are (s, t*s) for some s >= 0 and split t = a^2*x^2/(1+x^2), x in
+    [0, r], r = sqrt(a^2-1) (0 where the relay's cap is 0).  There R_ma's
+    SNR is s*G/N with G = g(t) = (1 + r*x)^2/(1+x^2), and the epoch is
+    worth phi = lam*C(s*G/N) + (1-lam)*C(a^2*s/N) - s*w with w = U + V*t
+    (:func:`_unit_split` when every weight is 1, :func:`_weighted_split`
+    otherwise).  The dual D = xi.c1 + mu.c2 + sum_i l_i*phi_i is convex,
+    finite while U > 0 on the epochs where the source harvested, its
+    gradient is each cap minus its prefix spend, and its Hessian is T'
+    blockdiag(-l_i*J_i) T, with T the suffix-sum map and J_i the Jacobian
+    of (s, t*s) in (U, V).  D is minimized over xi, mu >= 0 by projected
+    Newton (Bertsekas, SIAM J. Control Optim. 1982): multipliers within
+    min(1e-3, |projected gradient|) of 0 whose gradient is positive take a
+    gradient step, the others a Newton step, with an Armijo backtrack along
+    the projection arc.  A flat direction takes a gradient step too: a zero
+    Hessian diagonal (every epoch up to that prefix idle), or the null space
+    of a singular free block (a weight of 0 pins its epoch's relay power at
+    0, so two relay prefixes with only such epochs between them share a
+    Hessian row).  A step whose change of D is rounding (1e-13 relative) is
+    taken when it halves the projected gradient.  A multiplier whose prefix
+    cap is 0 is held at 0: the source is idle on the epochs with source cap
+    0, and x is 0 on those with relay cap 0.  The iteration stops once the
+    projected gradient is below 1e-12 times the largest cap, after max_iter
     iterations, or when no step lowers D.
     """
     n = len(l)
-    a2 = ch.a ** 2
-    r = math.sqrt(a2 - 1.0)
     live = c1 > 0.0
     fixed = np.concatenate([~live, ~(c2 > 0.0)])
-    rl = r * (c2 > 0.0)  # x = 0, so t = 0, where the relay cannot send
+    rl = math.sqrt(ch.a ** 2 - 1.0) * (c2 > 0.0)
     caps = np.concatenate([c1, c2])
     node = np.repeat([0, 1], n)
     prefix = np.tile(np.arange(n), 2)
-    k = 0.5 / LN2
     tol = 1e-12 * max(1.0, c1[-1], c2[-1])
+    split = _unit_split if np.all(lam == 1.0) else _weighted_split
 
     def value(y):
-        """(D, gradient, s, t*s, what :func:`hessian` reads) at y = [xi; mu];
-        D is inf unless the last source price is positive."""
+        """(D, gradient, s, t*s, Jacobian thunk) at y = [xi; mu]; D is inf
+        unless the last source price is positive."""
         if not y[n - 1] > 0.0:
             return (math.inf,)
-        # U >= U[-1] > 0 and V >= 0: every quotient below is finite
+        # U >= U[-1] > 0 and V >= 0: every quotient of the splits is finite
         U, V = y.reshape(2, n)[:, ::-1].cumsum(axis=1)[:, ::-1]
-        den = U + a2 * V
-        x = rl * U / den
-        tx = 1.0 + x * x
-        t = a2 * x * x / tx
-        rx = 1.0 + r * x
-        G = rx * rx / tx
-        w = U + V * t
-        kw, ng = k / w, ch.noise / G
-        on = (kw > ng) & live
-        s = (kw - ng) * on
-        q = t * s
-        D = float((y * caps).sum() + (l * (k * np.log1p(s / ng) - s * w)).sum())
+        s, q, phi, jac = split(ch, lam, rl, live, U, V)
+        D = float((y * caps).sum() + (l * phi).sum())
         grad = caps - np.concatenate([(l * s).cumsum(), (l * q).cumsum()])
-        return D, grad, s, q, (U, V, den, x, tx, t, rx, G, w, kw, ng, on)
-
-    def hessian(s, U, V, den, x, tx, t, rx, G, w, kw, ng, on):
-        """The terms (source-source, mixed, relay-relay) of the dual's
-        Hessian entry (j, m), summed over the epochs up to min(j, m)."""
-        den2, tx2 = den * den, tx * tx
-        xu, xv = (a2 * rl) * V / den2, (-a2 * rl) * U / den2
-        t_x = (2.0 * a2) * x / tx2
-        gk = (ng / G) * (2.0 * rx * (r - x) / tx2)  # N/G^2 * dG/dx
-        k1 = kw / w
-        vt = V * t_x
-        s_u = gk * xu - k1 * (1.0 + vt * xu)
-        s_v = gk * xv - k1 * (t + vt * xv)
-        q_v = t_x * xv * s + t * s_v
-        # J is symmetric: d(t*s)/dU = ds/dV
-        return (np.array([s_u, s_v, q_v]) * (-l * on)).cumsum(axis=1)
+        return D, grad, s, q, jac
 
     def pg_norm(y, grad):
         return float(np.abs(y - np.maximum(y - grad, 0.0)).max())
@@ -774,7 +625,7 @@ def _dual_program(ch, l, c1, c2, xi, mu, max_iter):
         # underspends): one source price spending the whole harvest at the
         # relay's full split
         y = np.zeros(2 * n)
-        y[n - 1] = k / (c1[-1] / l[live].sum() + ch.noise / a2)
+        y[n - 1] = 0.5 / LN2 / (c1[-1] / l[live].sum() + ch.noise / ch.a ** 2)
         cur = value(y)
     it = 0
     while it < max_iter:
@@ -784,14 +635,21 @@ def _dual_program(ch, l, c1, c2, xi, mu, max_iter):
         if norm <= tol:
             break
         it += 1
-        H = hessian(cur[2], *cur[4])
+        # Hessian entry (j, m): the terms (source-source, mixed, relay-relay)
+        # summed over the epochs up to min(j, m)
+        terms, on = cur[4]()
+        H = (terms * (-l * on)).cumsum(axis=1)
         free = np.flatnonzero(~(fixed | ((y <= min(1e-3, norm)) & (grad > 0.0))))
         nd, j = node[free], prefix[free]
         Hf = H[nd[:, None] + nd, np.minimum.outer(j, j)]
         diag = Hf.ravel()[::len(free) + 1]
         diag += diag == 0.0
         d = -grad
-        d[free] = np.linalg.lstsq(Hf, d[free], rcond=None)[0]
+        step, _, rank, _ = np.linalg.lstsq(Hf, d[free], rcond=None)
+        if rank < len(free):
+            flat = np.linalg.svd(Hf)[2][rank:]
+            step += flat.T @ (flat @ d[free])
+        d[free] = step
         alpha = 1.0
         while alpha > 1e-12:
             y1 = np.maximum(y + alpha * d, 0.0)
@@ -807,6 +665,123 @@ def _dual_program(ch, l, c1, c2, xi, mu, max_iter):
     return np.concatenate([cur[2], cur[3]]), it
 
 
+def _unit_split(ch, lam, rl, live, U, V):
+    """Each epoch's best powers under the weights 1 at the prices U, V
+    (:func:`_dual_program`), in closed form: x = r*U/(U + a^2*V) and s =
+    max(0, 1/(2 ln2 w) - N/G).  Returns s, t*s, phi and a thunk giving the
+    Jacobian terms (ds/dU, ds/dV, d(t*s)/dV) with the mask of the epochs
+    that send; lam is not read."""
+    a2 = ch.a ** 2
+    r = math.sqrt(a2 - 1.0)
+    k = 0.5 / LN2
+    den = U + a2 * V
+    x = rl * U / den
+    tx = 1.0 + x * x
+    t = a2 * x * x / tx
+    rx = 1.0 + r * x
+    G = rx * rx / tx
+    w = U + V * t
+    kw, ng = k / w, ch.noise / G
+    on = (kw > ng) & live
+    s = (kw - ng) * on
+
+    def jac():
+        den2, tx2 = den * den, tx * tx
+        xu, xv = (a2 * rl) * V / den2, (-a2 * rl) * U / den2
+        t_x = (2.0 * a2) * x / tx2
+        gk = (ng / G) * (2.0 * rx * (r - x) / tx2)  # N/G^2 * dG/dx
+        k1 = kw / w
+        vt = V * t_x
+        s_u = gk * xu - k1 * (1.0 + vt * xu)
+        s_v = gk * xv - k1 * (t + vt * xv)
+        q_v = t_x * xv * s + t * s_v
+        # J is symmetric: d(t*s)/dU = ds/dV
+        return np.array([s_u, s_v, q_v]), on
+
+    return s, t * s, k * np.log1p(s / ng) - s * w, jac
+
+
+def _weighted_split(ch, lam, rl, live, U, V):
+    """:func:`_unit_split` under any weights lam in [0, 1], from the
+    epoch's two stationarity conditions (k = 1/(2 ln2)).  In s: s is the
+    positive root, clipped at 0, of
+
+        w*G*a^2*s^2 + [w*N*(G + a^2) - k*G*a^2]*s
+            + N*[w*N - k*(lam*G + (1-lam)*a^2)] = 0.
+
+    In x: h(x) = lam*k*(1 + r*x)*(r - x) - V*a^2*x*(N + s*G) = 0, with s =
+    s(x), has h(0) > 0 > h(r); vectorized Newton keeps the root bracketed,
+    bisecting when a step leaves the bracket, and stops an epoch once its
+    step is below 1e-13*max(1, r) (tested first, so that an exact h = 0
+    stops).  x = 0 where lam = 0 (the relay power earns nothing) and x = r
+    where V = 0.  The Jacobian terms come from implicit differentiation of
+    the two conditions."""
+    a2 = ch.a ** 2
+    N = ch.noise
+    k = 0.5 / LN2
+
+    def at(x):
+        """(h, dh/dx) and the terms the Jacobian reads, at the split x."""
+        tx = 1.0 + x * x
+        rx = 1.0 + rl * x
+        G = rx * rx / tx
+        t = a2 * x * x / tx
+        w = U + V * t
+        qa = w * G * a2
+        qb = w * N * (G + a2) - k * G * a2
+        qc = N * (w * N - k * (lam * G + (1.0 - lam) * a2))
+        on = (qc < 0.0) & live
+        sq = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+        # the stable form of the root on each sign of qb
+        s = np.where(on, np.where(qb > 0.0, -2.0 * qc / (qb + sq),
+                                  (sq - qb) / (2.0 * qa)), 0.0)
+        nsg = N + s * G
+        g_x = 2.0 * rx * (rl - x) / (tx * tx)
+        t_x = 2.0 * a2 * x / (tx * tx)
+        # the partial derivatives of the s-condition (f) and of h in s and x
+        fs = -k * (lam * (G / nsg) ** 2
+                   + (1.0 - lam) * (a2 / (N + a2 * s)) ** 2)
+        fx = lam * k * N * g_x / (nsg * nsg) - V * t_x
+        hs = -V * a2 * x * G
+        hx = (lam * k * (rl * rl - 1.0 - 2.0 * rl * x)
+              - V * a2 * (nsg + x * s * g_x))
+        h = lam * k * rx * (rl - x) - V * a2 * x * nsg
+        dh = hx - np.where(on, hs * fx / fs, 0.0)
+        return (h, dh), (s, t, G, w, on, nsg, t_x, fs, fx, hs, hx)
+
+    x = np.where(V > 0.0, rl * U / (U + a2 * V), rl) * (lam > 0.0)
+    lo, hi = np.zeros(len(x)), rl
+    go = (lam > 0.0) & (V > 0.0) & (rl > 0.0)
+    eps = 1e-13 * max(1.0, math.sqrt(a2 - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (h, dh), terms = at(x)
+        for _ in range(100):
+            if not go.any():
+                break
+            step = h / dh
+            go &= ~(np.abs(step) <= eps)
+            lo = np.where(go & (h > 0.0), x, lo)
+            hi = np.where(go & ~(h > 0.0), x, hi)
+            nx = x - step
+            x = np.where(go, np.where((nx > lo) & (nx < hi), nx,
+                                      0.5 * (lo + hi)), x)
+            (h, dh), terms = at(x)
+    s, t, G, w, on, nsg, t_x, fs, fx, hs, hx = terms
+
+    def jac():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_v = -a2 * x * nsg
+            hx1 = np.where(lam > 0.0, hx, 1.0)  # x held at 0
+            det = fs * hx1 - fx * hs
+            s_u = hx1 / det
+            s_v = (hx1 * t + fx * h_v) / det
+            q_v = t_x * s * (-fs * h_v - hs * t) / det + t * s_v
+            return np.where(on, np.array([s_u, s_v, q_v]), 0.0), on
+
+    phi = k * (lam * np.log1p(s * G / N) + (1.0 - lam) * np.log1p(a2 * s / N))
+    return s, t * s, phi - s * w, jac
+
+
 def _solve(ch, profile, lam, cfg, warm=None):
     """The b = 1 program under the float weights lam, certified:
     (audit, counters, warnings), shared by :func:`solve_minmax` and
@@ -816,16 +791,9 @@ def _solve(ch, profile, lam, cfg, warm=None):
     exactly: powers clipped at 0, each node projected onto its causality
     polytope, p2 lowered onto the cone.  It is returned as it is when the
     independent certificate accepts it at tol_inner.  Otherwise the concave
-    program is solved, by :func:`_dual_program` from the multipliers fitted
-    at that start when every weight is 1, else by SLSQP from the staircase
-    start, and the result repaired the same way; while that point does not
-    certify, up to 30 Newton steps on its active face (:func:`_newton_step`)
-    follow, each repaired and certified in turn.  Before each step, a relay
-    power at 0 beside a positive source power, a positive weight and a
-    positive relay cap is lifted to 1e-6*max(1, max p2) and the point
-    repaired and certified: the face would otherwise hold it at 0.
-    SLSQP never starts from warm: from arbitrary starts it can stop early
-    ("Inequality constraints incompatible") far from the optimum.
+    program is solved by :func:`_dual_program` from the multipliers fitted
+    at that start, and the powers at the dual optimum are repaired and
+    certified the same way; converged reads that certificate.
     For a <= 1 (lam = 0) the rate is R_bc(p1) alone: the source staircase
     is exact and the relay keeps its own.  b != 1 raises ProfileError.
     """
@@ -846,39 +814,17 @@ def _solve(ch, profile, lam, cfg, warm=None):
         return Allocation(p1=q1, p2=q2)
 
     if ch.a > 1.0:
-        p1, p2 = _warm_start(profile)
-        x0 = np.concatenate([p1, np.minimum(p2, k * p1)])
-        start = repaired(x0 if warm is None
-                         else np.concatenate([warm.p1, warm.p2]))
+        start = repaired(np.concatenate(
+            _warm_start(profile) if warm is None else (warm.p1, warm.p2)))
     else:
         start = Allocation(*_warm_start(profile))
     audit = _audit(ch, profile, start, lam)
     counters = IterationCounters()
     if ch.a > 1.0 and not audit.kkt.certified(cfg.tol_inner):
-        if np.all(lam == 1.0):
-            x, grads = _dual_program(ch, l, c1, c2, audit.duals.xi,
-                                     audit.duals.mu, cfg.max_iter_inner)
-        else:
-            x, grads = _concave_program(ch, l, lam, c1, c2, x0,
-                                        cfg.max_iter_inner)
+        x, it = _dual_program(ch, l, lam, c1, c2, audit.duals.xi,
+                              audit.duals.mu, cfg.max_iter_inner)
         audit = _audit(ch, profile, repaired(x), lam)
-        # either core can stop with the powers about 1e-8 off; Newton steps
-        # on the active face of the weighted program finish them
-        for _ in range(30):
-            if audit.kkt.certified(cfg.tol_inner):
-                break
-            # R_ma's slope in p2 is unbounded at 0, so a zero relay power
-            # beside a positive source power is never optimal: lift it off
-            # the face it would otherwise keep
-            p1, p2 = audit.alloc.p1, audit.alloc.p2
-            lift = (p2 <= 0.0) & (lam > 0.0) & (p1 > 0.0) & (c2 > 0.0)
-            if lift.any():
-                audit = _audit(ch, profile, repaired(np.concatenate([
-                    p1, np.where(lift, 1e-6 * max(1.0, p2.max()), p2)])), lam)
-            x = _newton_step(ch, l, lam, (c1, c2), audit.alloc)
-            grads += 5
-            audit = _audit(ch, profile, repaired(x), lam)
-        counters = IterationCounters(inner_solves=1, inner_gradients=grads)
+        counters = IterationCounters(inner_solves=1, inner_gradients=it)
     return audit, counters, warn
 
 
@@ -888,10 +834,9 @@ def solve_minmax(ch, profile, cfg=None):
     The concave program of the module docstring, solved with the min-max
     weights lambda = 1 (a > 1) or 0 (a <= 1) by the shared core: the
     repaired staircase start when it certifies at tol_inner, else the dual
-    core (:func:`_dual_program`, no SLSQP and no scipy) from the multipliers
-    fitted there and, while that point does not certify, up to 30 Newton
-    steps on the face active there; each candidate is repaired exactly onto
-    the feasible set and the cone.  converged is set by the independent
+    core (:func:`_dual_program`) from the multipliers fitted there; each
+    candidate is repaired exactly onto the feasible set and the cone.
+    converged is set by the independent
     certificate alone (KKT residual <= tol_inner and minmax_gap <=
     10*tol_outer), whatever the optimizer reported.  b != 1 raises
     ProfileError: the reduction and the certificate hold only for b = 1.
@@ -906,20 +851,18 @@ def solve_inner(ch, profile, lam, cfg=None, warm=None):
 
     The objective is sum_i l_i*[lam_i*R_ma + (1-lam_i)*R_bc], whose optimum
     lies in the cone (module docstring): :func:`solve_minmax`'s program
-    under the weights lam, solved by the same core: the dual core when every
-    weight is 1, SLSQP (which imports scipy) when some weight is below 1.
-    warm, one finite power
-    per epoch and node, is repaired onto the feasible set and the cone and
-    certified first; if it does not certify, the solve goes on as without
-    it.  For a <= 1 (all weights 0) the source staircase is exact and warm
-    is ignored.  b != 1 raises ProfileError.
+    under the weights lam, solved by the same core (:func:`_solve`).  warm,
+    one finite power per epoch and node, is repaired onto the feasible set
+    and the cone and certified first; if it does not certify, the dual core
+    starts from the multipliers fitted there instead of at the staircase.
+    For a <= 1 (all weights 0) the source staircase is exact and warm is
+    ignored.  b != 1 raises ProfileError.
 
     Returns (Allocation, DualVariables, report) where report is a dict with
     the weighted objective, the independently recomputed KktReport, the
     convergence flag (KKT residual <= tol_inner), the gradient evaluations
-    (the dual core's iterations or SLSQP's gradients, plus 5 per Newton
-    step), and the warnings.  Non-convergence is
-    reported, not raised.
+    (the dual core's Newton iterations, 0 when the start certified) and the
+    warnings.  Non-convergence is reported, not raised.
     """
     cfg = cfg or SolverConfig()
     n = profile.n_epochs

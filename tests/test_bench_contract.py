@@ -82,8 +82,8 @@ LIVE = {
 }
 
 
-# one profile whose staircase start does not certify (SLSQP runs) and one
-# whose start does
+# one profile whose staircase start does not certify (the dual core runs)
+# and one whose start does
 GENERAL = random_instance(np.random.default_rng(5), 2, a_low_frac=0.0)
 WORKED = worked_proportional()
 

@@ -76,13 +76,13 @@ class TestSolve:
         assert rc == 3
 
     def test_nonconvergence_exit_4_with_partial_output(self, tmp_path):
-        # SLSQP runs here and its point does not certify at 1e-30
+        # the dual core runs here and its point does not certify at 1e-30
         ch, prof = random_instance(np.random.default_rng(5), 2, a_low_frac=0.0)
-        path = write_problem(tmp_path / "slsqp.json", ch, prof)
+        path = write_problem(tmp_path / "general.json", ch, prof)
         rc = main(["solve", path, "--case", "general", "--tol-inner", "1e-30",
                    "--out", str(tmp_path)])
         assert rc == 4
-        out = _read(tmp_path / "slsqp_schedule.json")  # partial output exists
+        out = _read(tmp_path / "general_schedule.json")  # partial output exists
         assert out["converged"] is False
 
     @pytest.mark.parametrize("case, e1, e2", [

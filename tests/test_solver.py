@@ -43,6 +43,8 @@ from ehrelay.solver import (
     KktReport,
     _epoch_rates,
     _solution,
+    _unit_split,
+    _weighted_split,
     feasibility_violations,
     project_causality,
 )
@@ -721,6 +723,8 @@ class TestSolveOuter:
 
     @staticmethod
     def _count_slsqp(monkeypatch):
+        """The gradient counts of any scipy.optimize.minimize call: the
+        solver has no SLSQP core left, so the list must stay empty."""
         njev = []
         minimize = scipy.optimize.minimize
 
@@ -733,8 +737,8 @@ class TestSolveOuter:
         return njev
 
     def test_counters_report_one_dual_solve(self, monkeypatch):
-        # the staircase start of this instance does not certify; under the
-        # weights lam = 1 the dual core runs instead of SLSQP
+        # the staircase start of this instance does not certify, so the
+        # dual core runs, once
         njev = self._count_slsqp(monkeypatch)
         iterations = []
         dual_program = solver._dual_program
@@ -754,7 +758,7 @@ class TestSolveOuter:
     @pytest.mark.parametrize("k", [1, 199])
     def test_certified_start_skips_slsqp(self, monkeypatch, k):
         # proportional harvests: the staircase start is optimal, certifies,
-        # and is returned without an SLSQP solve
+        # and is returned without running the dual core
         njev = self._count_slsqp(monkeypatch)
         if k == 1:
             ch, prof = CH, make_profile([0, 3], [4, 4], [2, 2], 6.0)
@@ -985,8 +989,8 @@ class TestFoundFaults:
         self._assert_optimal(solve_minmax(ch, prof), 18.664671534114945)
 
     def test_stalled_slsqp_is_polished(self):
-        # SLSQP stops here with the powers about 1e-8 off and a KKT residual
-        # of 2e-7; the active-face polish must finish the certificate
+        # SLSQP, the solver's core before the dual core, stopped here with
+        # the powers about 1e-8 off and a KKT residual of 2e-7
         rng = np.random.default_rng(5)
         for _ in range(30):
             ch, prof = random_instance(rng, int(rng.integers(0, 8)))
@@ -1035,14 +1039,14 @@ class TestFoundFaults:
 
     # "inner" draws are _inner_draw(*args), "minmax" ones _minmax_draw(*args)
     # and "criterion7" the second weight vector of criterion 7's pair args.
-    # The first four certify straight from SLSQP under one BLAS thread; the
-    # next six reach the Newton step under one and under two threads
-    # (4242/884, whose weight 0 makes the face Hessian singular, under two
-    # only), and each stays uncertified without it; the last two were
-    # returned uncertified by a face-Newton polish, at KKT 7.5 and inf.  On
-    # the last two, three steps were too few (7077/894 also held a zero
-    # relay power beside a positive source power, at KKT inf).
-    @pytest.mark.parametrize("draw, args, optimum", [
+    # These were the hard draws of the solver's earlier cores: SLSQP stopped
+    # short of a certificate on most of them, and Newton steps on the active
+    # face, or a face-Newton polish before those, had to finish them or
+    # failed to (7077/894 and 4242/648).  On the last two, relay prefixes
+    # with only weight-0 epochs between them make the dual core's free
+    # block singular: without its step in the null space the core stalls
+    # (4242/41 at relay prefix gradients -1.81 and +1.81).
+    CORE_CASES = [
         ("inner", (5055, 4), 21.49572789955648),
         ("inner", (3033, 381), 15.993793695491632),
         ("inner", (3033, 795), 9.949306976232489),
@@ -1057,10 +1061,15 @@ class TestFoundFaults:
         ("inner", (4242, 310, 10, True), 15.111258936644333),
         ("inner", (7077, 894, 10), 12.9181653477611),
         ("inner", (4242, 648, 10, True), 13.7643939933402),
-    ], ids=["rng5055-4", "rng3033-381", "rng3033-795", "criterion7-30b",
+        ("inner", (4242, 41, 10, True), 8.666411413614997),
+        ("inner", (4242, 123, 10, True), 10.59196071895407),
+    ]
+
+    @pytest.mark.parametrize("draw, args, optimum", CORE_CASES, ids=[
+            "rng5055-4", "rng3033-381", "rng3033-795", "criterion7-30b",
             "minmax99-214", "minmax2026-159", "minmax4044-722", "rng5055-763",
             "rng6066-432", "rng4242-884", "rng9099-916", "rng4242-310",
-            "rng7077-894", "rng4242-648"])
+            "rng7077-894", "rng4242-648", "rng4242-41", "rng4242-123"])
     def test_newton_step_certifies(self, draw, args, optimum):
         tol = SolverConfig().tol_inner
         if draw == "minmax":
@@ -1113,6 +1122,16 @@ class TestFoundFaults:
         assert sol.converged and sol.kkt.certified(SolverConfig().tol_inner)
         assert sol.total_bits == pytest.approx(optimum, rel=1e-9)
 
+    def test_long_weighted_draw_certifies(self):
+        # SLSQP ran 9 s here and returned 675.19 bits at KKT inf
+        ch, prof = random_instance(np.random.default_rng(300), 299,
+                                   a_low_frac=0.0)
+        lam = np.random.default_rng(301).uniform(0.0, 1.0, 300)
+        _, _, rep = solve_inner(ch, prof, lam)
+        assert rep["converged"]
+        assert rep["kkt"].certified(SolverConfig().tol_inner)
+        assert rep["objective"] == pytest.approx(745.8540342942674, rel=1e-9)
+
     def test_idle_source_epoch_not_certified(self):
         # the gradient reads 0 at p1 = 0, so the fitted vartheta once
         # absorbed the whole price there and this schedule certified exactly
@@ -1131,55 +1150,65 @@ class TestFoundFaults:
         np.testing.assert_allclose(sol.allocation.p1, [2.0, 2.0], rtol=1e-9)
         np.testing.assert_allclose(sol.allocation.p2, [1.0, 1.0], rtol=1e-9)
 
-    def test_minmax_bytes_independent_of_blas_threads(self):
-        # no BLAS-threaded kernel decides a solve_minmax schedule: the
-        # criterion-2 batch and the minmax draws above, under one and two
-        # threads
+    @staticmethod
+    def _under_one_and_two_threads(script):
+        """The stdout of script in a subprocess under one and under two
+        BLAS threads, with the package and the tests importable."""
         tests = os.path.dirname(os.path.abspath(__file__))
-        script = textwrap.dedent("""
-            import hashlib, warnings
-            from ehrelay import solve_minmax
-            from test_solver import TestFoundFaults as T
-            warnings.simplefilter("ignore")
-            draws = [T._criterion2_instance(i) for i in range(50)] + [
-                T._minmax_draw(99, 214, 12), T._minmax_draw(2026, 159, 10, 0.0),
-                T._minmax_draw(4044, 722, 14, 0.0), T._minmax_draw(99, 135, 12)]
-            h = hashlib.sha256()
-            for ch, prof in draws:
-                sol = solve_minmax(ch, prof)
-                h.update(sol.allocation.p1.tobytes() + sol.allocation.p2.tobytes())
-            print(h.hexdigest())
-            """)
         out = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                            [os.path.join(os.path.dirname(tests), "src"),
                             tests]))
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, timeout=120)
+            proc = subprocess.run([sys.executable, "-c", textwrap.dedent(
+                script)], env=env, capture_output=True, text=True,
+                timeout=120)
             assert proc.returncode == 0, proc.stderr
             out.append(proc.stdout.strip())
-        assert out[0] == out[1]
+        return out
+
+    def test_minmax_bytes_independent_of_blas_threads(self):
+        # no BLAS-threaded kernel decides a schedule: solve_minmax on the
+        # criterion-2 batch and the minmax draws above, solve_inner on the
+        # 120 rng-7 draws and the inner draws above (whose powers differed
+        # between one and two threads when SLSQP solved them)
+        one, two = self._under_one_and_two_threads("""
+            import hashlib, warnings
+            from ehrelay import solve_inner, solve_minmax
+            from test_solver import TestFoundFaults as T, _rng7_draws
+            warnings.simplefilter("ignore")
+            draws = [T._criterion2_instance(i) for i in range(50)] + [
+                T._minmax_draw(99, 214, 12), T._minmax_draw(2026, 159, 10, 0.0),
+                T._minmax_draw(4044, 722, 14, 0.0), T._minmax_draw(99, 135, 12)]
+            allocs = [solve_minmax(ch, prof).allocation for ch, prof in draws]
+            inner = list(_rng7_draws()) + [T._inner_draw(*args) for draw, args,
+                                           _ in T.CORE_CASES if draw == "inner"]
+            allocs += [solve_inner(*draw)[0] for draw in inner]
+            h = hashlib.sha256()
+            for alloc in allocs:
+                h.update(alloc.p1.tobytes() + alloc.p2.tobytes())
+            print(len(allocs), h.hexdigest())
+            """)
+        n = 54 + 120 + sum(draw == "inner" for draw, _, _ in self.CORE_CASES)
+        assert one.split()[0] == str(n) and one == two
 
     def test_certified_under_two_blas_threads(self):
         # the first draw certified under one thread only, the second under
-        # two only; the powers still depend on the thread count, so only the
-        # certificate is compared
-        tests = os.path.dirname(os.path.abspath(__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
-                   PYTHONPATH=os.pathsep.join(
-                       [os.path.join(os.path.dirname(tests), "src"), tests]))
-        proc = subprocess.run([sys.executable, "-c", textwrap.dedent("""
+        # two only, when SLSQP solved them; both must certify under either
+        # count, with the same power bytes
+        one, two = self._under_one_and_two_threads("""
+            import hashlib
             from ehrelay import SolverConfig, solve_inner
             from test_solver import TestFoundFaults as T
+            h = hashlib.sha256()
             for draw in (T._inner_draw(3033, 704), T._inner_draw(9099, 916, 10)):
-                kkt = solve_inner(*draw)[2]["kkt"]
-                assert kkt.certified(SolverConfig().tol_inner), kkt
-            print("ok")
-            """)], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
+                alloc, _, rep = solve_inner(*draw)
+                assert rep["kkt"].certified(SolverConfig().tol_inner), rep
+                h.update(alloc.p1.tobytes() + alloc.p2.tobytes())
+            print(h.hexdigest())
+            """)
+        assert one == two
 
 
 def _rng7_draws():
@@ -1231,8 +1260,9 @@ class TestWeightedProgram:
             # an optimal warm start is returned without a solve
             _, _, rep = solve_inner(ch, prof, lam, warm=alloc)
             assert rep["gradients"] == 0 and rep["converged"], i
-            # from arbitrary starts like these SLSQP stopped early on 7 of
-            # the 40 draws; a warm start that does not certify is dropped
+            # from arbitrary starts like these SLSQP, the solver's former
+            # core, stopped early on 7 of the 40 draws; a warm start that
+            # does not certify only seeds the dual core's multipliers
             n = prof.n_epochs
             warm = Allocation(p1=rng.uniform(-1.0, 20.0, n),
                               p2=rng.uniform(-1.0, 40.0, n))
@@ -1253,6 +1283,58 @@ class TestWeightedProgram:
             assert rep["converged"], i
             assert rep["objective"] == pytest.approx(
                 solve_minmax(ch, prof).total_bits, rel=1e-12), i
+
+    def test_weighted_split_is_each_epochs_optimum(self):
+        # each epoch's powers at the prices U, V: the weighted rate's
+        # gradient equals the prices where the epoch sends, weights of 1 give
+        # the closed form, and the Jacobian terms are the derivatives
+        rng = np.random.default_rng(17)
+        n = 400
+        ch = ChannelParams(a=1.7, b=1.0, noise=0.8)
+        rl = (ch.a ** 2 - 1.0) ** 0.5 * (rng.random(n) < 0.9)
+        live = rng.random(n) < 0.95
+        U = rng.uniform(0.05, 1.0, n)
+        V = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.9)
+        lam = rng.uniform(0.0, 1.0, n)
+        lam[rng.random(n) < 0.1] = 0.0
+        lam[rng.random(n) < 0.1] = 1.0
+
+        s, q, _, jac = _weighted_split(ch, lam, rl, live, U, V)
+        terms, on = jac()
+        assert np.array_equal(on, s > 0.0) and 50 < on.sum() < n
+        assert np.all(s[~live] == 0.0)
+        assert np.all(q >= 0.0)
+        assert np.all(q <= (ch.a ** 2 - 1.0) * s * (1.0 + 1e-12))
+        # x is held at 0 where the weight is 0 or the relay cannot send
+        assert np.all(q[(lam == 0.0) | (rl == 0.0)] == 0.0)
+        inner = on & (lam > 0.0) & (rl > 0.0)
+        d1, d2 = weighted_rate_grad(ch, s[inner], q[inner], lam[inner])
+        np.testing.assert_allclose(d1, U[inner], rtol=1e-9)
+        np.testing.assert_allclose(d2, V[inner], rtol=1e-9, atol=1e-9)
+        pinned = on & (lam == 0.0)
+        d1, _ = weighted_rate_grad(ch, s[pinned], q[pinned], lam[pinned])
+        np.testing.assert_allclose(d1, U[pinned], rtol=1e-9)
+
+        ones = np.ones(n)
+        got = _weighted_split(ch, ones, rl, live, U, V)
+        want = _unit_split(ch, ones, rl, live, U, V)
+        for g, w in zip(got[:3], want[:3]):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got[3]()[0], want[3]()[0] * want[3]()[1],
+                                   rtol=1e-7, atol=1e-9)
+
+        h, smooth, diffs = 1e-6, on & (V > 1e-3), []
+        for dU, dV in ((h, 0.0), (0.0, h)):
+            sp, qp = _weighted_split(ch, lam, rl, live, U + dU, V + dV)[:2]
+            sm, qm = _weighted_split(ch, lam, rl, live, U - dU, V - dV)[:2]
+            # away from the kinks: sending under every perturbation
+            smooth &= (sp > 0.0) & (sm > 0.0)
+            diffs += [(sp - sm) / (2 * h), (qp - qm) / (2 * h)]
+        s_u, q_u, s_v, q_v = diffs
+        for got, want in ((terms[0], s_u), (terms[1], s_v), (terms[1], q_u),
+                          (terms[2], q_v)):
+            np.testing.assert_allclose(got[smooth], want[smooth], rtol=1e-5,
+                                       atol=1e-6)
 
     def test_clamped_extension_not_credited(self):
         # the ascent returned 15.914301041235678 here, with p1[0] = 3.2e-27
