@@ -586,12 +586,13 @@ def _dual_program(ch, l, lam, c1, c2, xi, mu, max_iter):
     Hessian diagonal (every epoch up to that prefix idle), or the null space
     of a singular free block (a weight of 0 pins its epoch's relay power at
     0, so two relay prefixes with only such epochs between them share a
-    Hessian row).  A step whose change of D is rounding (1e-13 relative) is
-    taken when it halves the projected gradient.  A multiplier whose prefix
-    cap is 0 is held at 0: the source is idle on the epochs with source cap
-    0, and x is 0 on those with relay cap 0.  The iteration stops once the
-    projected gradient is below 1e-12 times the largest cap, after max_iter
-    iterations, or when no step lowers D.
+    Hessian row).  A full step whose change of D is rounding (1e-13
+    relative) is taken when it halves the projected gradient; otherwise the
+    iteration stops there, as D cannot rank shorter steps.  A multiplier
+    whose prefix cap is 0 is held at 0: the source is idle on the epochs
+    with source cap 0, and x is 0 on those with relay cap 0.  The iteration
+    stops once the projected gradient is below 1e-12 times the largest cap,
+    after max_iter iterations, or when no step lowers D.
     """
     n = len(l)
     live = c1 > 0.0
@@ -654,12 +655,14 @@ def _dual_program(ch, l, lam, c1, c2, xi, mu, max_iter):
         while alpha > 1e-12:
             y1 = np.maximum(y + alpha * d, 0.0)
             new = value(y1)
-            if new[0] <= D + 1e-4 * float((grad * (y1 - y)).sum()) or (
-                    alpha == 1.0 and abs(new[0] - D) <= 1e-13 * abs(D)
-                    and pg_norm(y1, new[1]) <= 0.5 * norm):
+            if new[0] <= D + 1e-4 * float((grad * (y1 - y)).sum()):
+                break
+            if alpha == 1.0 and abs(new[0] - D) <= 1e-13 * abs(D):
+                # a change of D at rounding level cannot rank shorter steps
+                alpha = 1.0 if pg_norm(y1, new[1]) <= 0.5 * norm else 0.0
                 break
             alpha *= 0.5
-        else:
+        if not alpha > 1e-12:
             break
         y, cur = y1, new
     return np.concatenate([cur[2], cur[3]]), it

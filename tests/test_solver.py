@@ -1132,6 +1132,20 @@ class TestFoundFaults:
         assert rep["kkt"].certified(SolverConfig().tol_inner)
         assert rep["objective"] == pytest.approx(745.8540342942674, rel=1e-9)
 
+    def test_tiny_weight_draw_stops(self):
+        # weights of 1e-6 leave a projected gradient of 8e-11 in a nearly
+        # flat dual direction, where D changes by rounding only: the core
+        # once backtracked through that noise for all max_iter_inner
+        # iterations (96 s) instead of stopping
+        rng = np.random.default_rng(5)
+        for _ in range(48):
+            k = int(rng.integers(0, 10))
+            ch, prof = random_instance(rng, k, a_low_frac=0.0)
+            lam = rng.choice([1e-6, 0.5], size=k + 1)
+        _, _, rep = solve_inner(ch, prof, lam)
+        assert rep["gradients"] <= 50
+        assert rep["objective"] == pytest.approx(15.202809179895, rel=1e-9)
+
     def test_idle_source_epoch_not_certified(self):
         # the gradient reads 0 at p1 = 0, so the fitted vartheta once
         # absorbed the whole price there and this schedule certified exactly
